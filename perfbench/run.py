@@ -7,9 +7,11 @@ Run from the repository root (the library is imported from ``src/``)::
 A run repeats the workload in rounds for ``--seconds`` (at least three
 rounds), timing each step of a round (a chip, a code, a word, a sub-sweep).
 ``--trace 0`` reports the end-to-end metrics with tracing off:
-``units_per_s`` (units per round over the round time assembled from each
-step's fastest round), ``setup_s`` (the median of three fresh processes timed from
-start until the workload is ready) and ``peak_rss_mib``.  ``--trace 1``
+``units_per_ref_s`` (units per round over the round time assembled from each
+step's fastest round, scaled to the reference machine's speed by a
+calibration pass timed before every round), ``setup_s`` (the median of five
+fresh processes timed from start until the workload is ready) and
+``peak_rss_mib``.  ``--trace 1``
 alternates untraced and traced rounds instead and reports the per-layer
 metrics of the traced ones, the tracing overhead and the share of a traced
 round covered by layer spans; the last traced round's JSONL trace is kept
@@ -50,8 +52,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: Rounds per run at the least, however long a round takes (see round_seconds).
 MIN_ROUNDS = 3
+#: The calibration pass's fastest time on the reference machine (a 2-vCPU
+#: KVM guest on a Xeon Sapphire Rapids host, Python 3.11, numpy 2.4).
+REFERENCE_CALIBRATION_S = 0.25
 #: Fresh processes timed for ``setup_s``.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 
 
 def parse_args(argv):
@@ -138,6 +143,36 @@ def play(steps):
     return seconds, outputs
 
 
+def calibration_seconds():
+    """Time one pass of fixed work that is not the library's: the yardstick
+    for the machine's speed during a run.
+
+    Other tenants' load can slow a whole run, which no minimum over its
+    rounds removes; the run's fastest pass scales ``units_per_ref_s`` back
+    to the reference machine's speed.  Half of the pass is interpreted
+    Python (dict and integer operations), half numpy bit-matrix arithmetic,
+    the two kinds of work the pipeline does, and it lasts about as long as a
+    step, so the load slows it the way it slows the steps.  A 3.5 ms
+    pure-Python kernel tracked them worse: its fastest sample often fell in
+    a quiet moment that no step-long sample found.
+    """
+    import numpy
+
+    bits = numpy.random.default_rng(2020).integers(0, 2, size=(512, 512), dtype=numpy.uint8)
+    start = time.perf_counter()
+    table, value = {}, 0
+    for i in range(300_000):
+        key = (i * 2654435761) & 4095
+        value ^= table.get(key, i)
+        table[key] = value + i
+    matrix = bits
+    for shift in range(1, 13):
+        matrix = numpy.bitwise_xor(matrix, numpy.roll(bits, shift, axis=1))
+        matrix = (matrix.astype(numpy.int32) @ bits[:, :64].astype(numpy.int32)) & 1
+        matrix = numpy.repeat(matrix.astype(numpy.uint8), 8, axis=1)
+    return time.perf_counter() - start
+
+
 def round_seconds(rounds):
     """One round's time, assembled from each step's fastest round.
 
@@ -181,14 +216,22 @@ def measure(args, workload, state, pipeline):
     """Rounds for ``args.seconds`` (at least three); returns the metrics."""
     run = Run(workload, state)
     if not args.trace:
-        rounds = []
+        rounds, calibrations = [], []
         start = time.perf_counter()
         while more_rounds(rounds, start, args.seconds):
+            calibrations.append(calibration_seconds())
             seconds, outputs = play(workload.steps(state))
             rounds.append(seconds)
             run.check(outputs)
-        details = {"round_seconds": [sum(seconds) for seconds in rounds]}
-        metrics = {"units_per_s": (run.units / round_seconds(rounds), "1/s")}
+        units_per_s = run.units / round_seconds(rounds)
+        details = {
+            "round_seconds": [sum(seconds) for seconds in rounds],
+            "step_min_seconds": [min(step) for step in zip(*rounds)],
+            "calibration_seconds": calibrations,
+            "units_per_s": units_per_s,
+        }
+        speed = min(calibrations) / REFERENCE_CALIBRATION_S
+        metrics = {"units_per_ref_s": (units_per_s * speed, "1/s")}
         return run, metrics, details
 
     import layers
@@ -271,6 +314,11 @@ def main(argv=None):
             workload.teardown(state)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        # On a disk with online discard, deleted files slow the fsyncs that
+        # follow until the journal commits them: commit them now, so they
+        # land neither in the parent's timed rounds (for a set-up process)
+        # nor in the next run's.
+        os.sync()
 
     if setup is not None:
         metrics["setup_s"] = (setup[0], "s")
