@@ -42,6 +42,10 @@ multi-process sweeps merge worker segments deterministically).  The
 
 Profiles are exchanged as JSON in the format produced by
 :meth:`repro.core.profile.MiscorrectionProfile.to_dict`.
+
+Every library failure (:class:`~repro.exceptions.ReproError`) ends the
+command with a one-line ``beer-tool: error: ...`` on stderr and exit code
+2, never a traceback.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import CodeConstructionError
+from repro.exceptions import ReproError
 from repro.gf2 import GF2Vector
 from repro.ecc import FAMILY_NAMES, SystematicLinearCode, get_family
 from repro.dram import ChipGeometry, DataRetentionModel, all_vendors
@@ -398,9 +402,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     handler = handlers[args.command]
     trace_path = getattr(args, "trace", None)
-    if trace_path is None:
-        return handler(args)
-    return _run_traced(handler, args, trace_path)
+    try:
+        if trace_path is None:
+            return handler(args)
+        return _run_traced(handler, args, trace_path)
+    except ReproError as error:
+        message = " ".join(str(error).splitlines())
+        print(f"beer-tool: error: {message}", file=sys.stderr)
+        return 2
 
 
 def _run_traced(handler, args, trace_path: str) -> int:
@@ -628,11 +637,7 @@ def _run_beep(args) -> int:
         print("--sat-stats requires --pattern-backend sat", file=sys.stderr)
         return 2
     family = get_family(args.code_family)
-    try:
-        code = family.random(args.data_bits, rng=np.random.default_rng(args.seed))
-    except CodeConstructionError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    code = family.random(args.data_bits, rng=np.random.default_rng(args.seed))
     if code.detect_only:
         print(f"code family {family.name!r} is detect-only; BEEP needs a "
               "correcting family (miscorrections are its signal)",
@@ -685,11 +690,7 @@ def _run_einsim(args) -> int:
     from repro.einsim import UniformRandomInjector
 
     family = get_family(args.code_family)
-    try:
-        code = family.random(args.data_bits, rng=np.random.default_rng(args.seed))
-    except CodeConstructionError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    code = family.random(args.data_bits, rng=np.random.default_rng(args.seed))
     campaign = MonteCarloCampaign(
         code,
         chunk_size=args.chunk_size,

@@ -1,15 +1,16 @@
 """RPR104 — store write discipline.
 
-The campaign store's durability model (PR 4, layered in PR 9) holds only
-if *every* append goes through the ``repro.store`` package: one
-``write``+``fsync`` to an ``O_APPEND`` fd, under the exclusive advisory
-lock (store-wide for the v1 single-file layout, per segment for the v2
-sharded layout), with multi-writer dedupe.  An append-mode ``open()`` or
-raw ``os.write`` done anywhere else can interleave bytes with a
-concurrent writer and turn a crash into unrepairable mid-file corruption
-— so append-style writes are flagged everywhere outside the store
-package's modules, and inside them they must be lexically under the lock
-helper.
+The campaign store's durability model holds only if *every* append goes
+through the ``repro.store`` package's one engine,
+:class:`repro.store.segment.SegmentLog`: one ``write``+``fsync`` to an
+``O_APPEND`` fd, under the log's exclusive advisory lock (taken with its
+single lock helper, ``SegmentLog.lock()``, which wraps
+``repro.store.locks.file_lock``), with multi-writer dedupe.  An
+append-mode ``open()`` or raw ``os.write`` done anywhere else can
+interleave bytes with a concurrent writer and turn a crash into
+unrepairable mid-file corruption — so append-style writes are flagged
+everywhere outside the store package's modules, and inside them they must
+be lexically under the lock helper.
 """
 
 from __future__ import annotations
@@ -69,20 +70,22 @@ class StoreWriteDisciplineRule(Rule):
     summary = "appends belong in the repro.store package, under a store lock"
     explanation = """\
 records.jsonl / segment files (and any append-only artifact) may only be
-written through the store package: an append-mode open()/os.write()
-elsewhere bypasses the advisory lock (store-wide in the v1 layout, per
-segment in the v2 sharded layout), the single write+fsync atomicity, and
-the multi-writer dedupe — concurrent writers can interleave bytes and a
-crash becomes mid-file corruption that torn-tail repair refuses to touch.
+written through the store package's SegmentLog engine: an append-mode
+open()/os.write() elsewhere bypasses the log's advisory lock (one log,
+one lock: records.lock in the single-file layout, one per segment in the
+sharded layout), the single write+fsync atomicity, and the multi-writer
+dedupe — concurrent writers can interleave bytes and a crash becomes
+mid-file corruption that torn-tail repair refuses to touch.
 
 Bad (anywhere outside src/repro/store/):
     with open(path, "a") as f: f.write(line)
     os.write(fd, payload)
 
 Inside the store package's modules, appends must additionally sit
-lexically inside a `with self._lock():` / `with file_lock(...):` block;
-helper methods whose caller holds the lock document that with a
-suppression naming the contract."""
+lexically inside a `with self.lock():` block — SegmentLog.lock(), the
+single lock helper, or `with file_lock(...):` which it wraps.  Only the
+two leaves SegmentLog calls with its lock already held (the append write
+and the torn-tail repair) carry a suppression naming that contract."""
 
     def check(self, context: LintContext) -> List[Finding]:
         tail = context.module_tail()

@@ -19,11 +19,13 @@ four properties the scenario subsystem is built on:
 
 The package is layered: :mod:`repro.store.records` defines the canonical
 record model, :mod:`repro.store.locks` the advisory-lock primitive,
-:mod:`repro.store.layout` the on-disk engines (single-file **v1** and
-sharded-with-compacted-index **v2**), :mod:`repro.store.lifecycle` the
-administrative operations behind ``repro store`` (stat/verify/compact/
-gc/migrate), and :mod:`repro.store.store` the :class:`CampaignStore`
-facade everything else consumes.
+:mod:`repro.store.segment` the one storage engine (``SegmentLog``: an
+append-only log, its lock, an optional sidecar index),
+:mod:`repro.store.layout` the two routings over it (single-file **v1**
+and sharded-with-compacted-index **v2**), :mod:`repro.store.lifecycle`
+the administrative operations behind ``repro store`` (stat/verify/
+compact/gc/migrate), and :mod:`repro.store.store` the
+:class:`CampaignStore` facade everything else consumes.
 """
 
 from repro.exceptions import StoreError, StoreLockTimeoutError

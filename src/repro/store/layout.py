@@ -1,21 +1,23 @@
-"""Store layouts: the on-disk engines behind :class:`CampaignStore`.
+"""Store layouts: two routings over one :class:`SegmentLog` engine.
 
-Two layouts implement one contract (:class:`StoreLayout`):
+Every durability invariant lives in :class:`~repro.store.segment.
+SegmentLog` (locked ``write``+``fsync`` appends, torn-tail repair,
+refresh-under-lock dedupe, lazy loads, ``verify``/``compact``).  A layout
+only decides which log a content key routes to and where the logs live:
 
-* :class:`SingleFileLayout` (**v1**) — one append-only ``records.jsonl``
-  under one store-wide advisory lock.  Kept bit-for-bit compatible with
-  every store the repository has ever written: a pre-existing campaign
-  directory opens, resumes, and re-serialises byte-identically.
-* :class:`ShardedLayout` (**v2**) — records routed to
-  ``segments/<prefix>.jsonl`` by the leading hex characters of their
-  content key, one advisory lock *per segment* (concurrent writers on
-  different shards never contend), plus a compacted JSONL sidecar index
-  per segment (``index/<prefix>.idx``) mapping
-  ``key -> (offset, length, seq, config)``.  Membership checks and
-  config-equality queries are O(1) dictionary lookups over the index and
-  never parse result payloads; record bodies load lazily on first access.
-  A ``MANIFEST.json`` format marker identifies the layout;
-  :func:`detect_layout` auto-detects it on open.
+* :class:`SingleFileLayout` (**v1**) — one log on ``records.jsonl`` with
+  ``records.lock`` and no sidecar, so opening scans and content-verifies
+  every record.  Bit-for-bit compatible with every store the repository
+  has ever written: a pre-existing campaign directory opens, resumes, and
+  re-serialises byte-identically.
+* :class:`ShardedLayout` (**v2**) — one log per key prefix,
+  ``segments/<prefix>.jsonl`` with its own lock (concurrent writers on
+  different shards never contend) and a compacted sidecar index
+  ``index/<prefix>.idx`` mapping ``key -> (offset, length, seq, config)``.
+  Membership checks and config-equality queries are O(1) dictionary
+  lookups over the index and never parse result payloads; record bodies
+  load lazily on first access.  A ``MANIFEST.json`` format marker
+  identifies the layout; :func:`detect_layout` auto-detects it on open.
 
 Determinism contract
 --------------------
@@ -28,19 +30,6 @@ Global iteration order is the commit sequence number (``seq``) recorded
 in the index — exactly the v1 insertion order for a single committer —
 with ties across co-writing processes broken by ``(shard, offset)``,
 which keeps iteration deterministic for any fixed record set.
-
-Durability contract
--------------------
-
-All of v1's machinery holds per segment in v2: appends are one
-``write``+``fsync`` to an ``O_APPEND`` fd under the segment lock,
-co-writers are deduplicated by content key after re-scanning the segment
-tail, a torn trailing line left by a crashed writer is repaired on open,
-and every record's content address is verified when its bytes are parsed
-— eagerly on open for v1, lazily on first load for v2 (``repro store
-verify`` forces the full check).  The sidecar index is *derived* state: a
-torn, stale, or corrupt index is rebuilt from the segment bytes, never
-trusted over them.
 """
 
 from __future__ import annotations
@@ -48,21 +37,28 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import time
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.exceptions import StoreError
 from repro.obs import TRACER
-from repro.store.locks import file_lock
-from repro.store.records import (
-    ResultRecord,
-    StoreIntegrityError,
-    canonical_json,
-    content_key,
-    parse_record_line,
-    reconcile,
-)
+from repro.store.locks import is_stale_lockfile
+from repro.store.records import ResultRecord, StoreIntegrityError
+from repro.store.segment import IndexEntry, SegmentLog, write_file_durably
+
+__all__ = [
+    "LAYOUT_NAMES",
+    "SHARDED",
+    "SINGLE_FILE",
+    "IndexEntry",
+    "SegmentLog",
+    "ShardedLayout",
+    "SingleFileLayout",
+    "StoreLayout",
+    "detect_layout",
+    "make_layout",
+    "read_manifest",
+    "write_manifest",
+]
 
 #: v1 artefacts (also the facade's historical class-attribute values).
 RECORDS_FILENAME = "records.jsonl"
@@ -132,154 +128,26 @@ def write_manifest(
     directory: str, shard_prefix_chars: int = SHARD_PREFIX_CHARS
 ) -> None:
     """Atomically write the sharded-layout manifest (the v2 commit point)."""
-    path = os.path.join(directory, MANIFEST_FILENAME)
     payload = {
         "format": MANIFEST_FORMAT,
         "layout": SHARDED,
         "version": SHARDED_LAYOUT_VERSION,
         "shard_prefix_chars": shard_prefix_chars,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-#: Structural prefix of an index line: the key always leads, so opening a
-#: store can slice keys out of sidecar lines without a JSON parse per row.
-_INDEX_LINE_PREFIX = b'{"k":"'
-_KEY_HEX_CHARS = 64  # SHA-256
-
-
-class IndexEntry:
-    """One compacted-index row: where a record lives and what configured it.
-
-    ``length`` is the record line's byte length *excluding* its newline;
-    ``seq`` is the commit sequence number ordering global iteration;
-    ``config`` rides along so config-equality queries never touch payloads.
-
-    Entries are **lazily parsed**: opening a store materialises only the
-    ``key``/``shard`` of each row (sliced straight out of the sidecar
-    bytes — the O(1)-membership hot path never runs a JSON parse per
-    record); ``offset``/``length``/``seq``/``config`` decode the raw line
-    on first access.  A row that turns out to be garbage when finally
-    decoded raises :class:`StoreIntegrityError` at that point — mid-file
-    sidecar damage cannot be crash fallout (appends only ever tear the
-    tail, which open reconciles), so it fails loudly like any other
-    corruption.
-    """
-
-    __slots__ = ("key", "shard", "_raw", "_fields")
-
-    def __init__(
-        self,
-        key: str,
-        shard: str,
-        offset: int,
-        length: int,
-        seq: int,
-        config: Dict[str, Any],
-    ) -> None:
-        self.key = key
-        self.shard = shard
-        self._raw: Optional[bytes] = None
-        self._fields: Optional[Tuple[int, int, int, Dict[str, Any]]] = (
-            offset, length, seq, config,
-        )
-
-    @classmethod
-    def lazy(cls, key: str, shard: str, raw: bytes) -> "IndexEntry":
-        """An entry backed by its raw sidecar line, decoded on first use."""
-        entry = cls.__new__(cls)
-        entry.key = key
-        entry.shard = shard
-        entry._raw = raw
-        entry._fields = None
-        return entry
-
-    def _decode(self) -> Tuple[int, int, int, Dict[str, Any]]:
-        fields = self._fields
-        if fields is None:
-            assert self._raw is not None
-            source = f"index entry for key {self.key}"
-            try:
-                payload = json.loads(self._raw)
-                fields = (
-                    int(payload["o"]), int(payload["l"]),
-                    int(payload["q"]), payload["c"],
-                )
-            except (ValueError, KeyError, TypeError) as error:
-                raise StoreIntegrityError(
-                    f"{source} (segment {self.shard}) is unparseable "
-                    f"({error}); rebuild the index with `repro store "
-                    "compact`"
-                ) from error
-            if (
-                payload.get("k") != self.key
-                or not isinstance(fields[3], dict)
-                or fields[0] < 0
-                or fields[1] <= 0
-                or not self.key.startswith(self.shard)
-            ):
-                raise StoreIntegrityError(
-                    f"{source} (segment {self.shard}) is inconsistent; "
-                    "rebuild the index with `repro store compact`"
-                )
-            self._fields = fields
-        return fields
-
-    @property
-    def offset(self) -> int:
-        return self._decode()[0]
-
-    @property
-    def length(self) -> int:
-        return self._decode()[1]
-
-    @property
-    def seq(self) -> int:
-        return self._decode()[2]
-
-    @property
-    def config(self) -> Dict[str, Any]:
-        return self._decode()[3]
-
-    def end(self) -> int:
-        """First segment byte past this record (its newline included)."""
-        return self.offset + self.length + 1
-
-    def to_json_line(self) -> str:
-        # Fixed field order with the key first, matching
-        # _INDEX_LINE_PREFIX so open can slice keys without parsing.
-        offset, length, seq, config = self._decode()
-        return (
-            f'{{"k":"{self.key}","o":{offset},"l":{length},"q":{seq},'
-            f'"c":{canonical_json(config)}}}'
-        )
-
-    @classmethod
-    def from_json_line(cls, line: str, shard: str) -> "IndexEntry":
-        payload = json.loads(line)
-        return cls(
-            key=payload["k"],
-            shard=shard,
-            offset=int(payload["o"]),
-            length=int(payload["l"]),
-            seq=int(payload["q"]),
-            config=payload["c"],
-        )
+    write_file_durably(
+        os.path.join(directory, MANIFEST_FILENAME),
+        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+    )
 
 
 class StoreLayout:
     """Contract a storage layout implements for :class:`CampaignStore`.
 
-    A layout owns the on-disk representation under one campaign directory:
-    membership, deterministic iteration order, (lazy) record loading,
-    locked durable appends, and the lifecycle operations ``verify`` /
-    ``compact`` / ``gc``.
+    A layout owns the on-disk representation under one campaign directory
+    as a set of :class:`SegmentLog` values keyed by shard name.  Everything
+    that is not routing — membership, deterministic iteration order, lazy
+    record loads, locked durable appends, ``verify`` and ``compact`` — is
+    implemented here once, over those logs.
     """
 
     name: str = "abstract"
@@ -288,26 +156,89 @@ class StoreLayout:
         self._directory = str(directory)
         self._lock_timeout_s = lock_timeout_s
         os.makedirs(self._directory, exist_ok=True)
+        #: shard name -> log (``""`` is the single-file layout's one log).
+        self._logs: Dict[str, SegmentLog] = {}
+        #: Next commit sequence number; materialised lazily on first use
+        #: (computing it decodes every index entry, which a read-only open
+        #: never needs to pay for).
+        self._next_seq: Optional[int] = None
+        self._order_cache: Optional[List[str]] = None
 
     @property
     def directory(self) -> str:
         """The campaign directory this layout persists under."""
         return self._directory
 
-    def __len__(self) -> int:
+    @staticmethod
+    def make_log(
+        directory: str,
+        shard: str,
+        take_seq: Callable[[], int],
+        lock_timeout_s: Optional[float] = None,
+    ) -> SegmentLog:
+        """The log ``shard`` of this layout lives in under ``directory``."""
         raise NotImplementedError
+
+    def logs(self) -> List[SegmentLog]:
+        """This layout's logs, in shard-name order."""
+        return [self._logs[shard] for shard in sorted(self._logs)]
+
+    def _route(self, key: str, create: bool = False) -> Optional[SegmentLog]:
+        """The log ``key`` belongs to (created on demand when ``create``)."""
+        raise NotImplementedError
+
+    def _open(self, shards: List[str]) -> None:
+        """Open the logs of ``shards``: every sidecar first, then the scans.
+
+        Adopting all lock-free sidecars before any locked scan means the
+        scans' fresh sequence numbers start past every adopted one.
+        """
+        for shard in shards:
+            self._logs[shard] = self.make_log(
+                self._directory, shard, self._take_seq, self._lock_timeout_s
+            )
+        uncovered = [log for log in self.logs() if not log.open_index()]
+        for log in uncovered:
+            log.reconcile()
+
+    def _take_seq(self) -> int:
+        """Claim the next commit sequence number (materialising it lazily)."""
+        if self._next_seq is None:
+            self._next_seq = 1 + max(
+                (
+                    entry.seq
+                    for log in self._logs.values()
+                    for entry in log.entries.values()
+                ),
+                default=-1,
+            )
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    # -- read side ----------------------------------------------------------
+    def __len__(self) -> int:
+        return sum(len(log) for log in self._logs.values())
 
     def has(self, key: str) -> bool:
         """O(1) membership: is ``key`` committed? (the cache-hit check)"""
-        raise NotImplementedError
+        log = self._route(key)
+        return log is not None and key in log.entries
 
     def keys(self) -> List[str]:
-        """All stored keys in the layout's deterministic iteration order."""
-        raise NotImplementedError
+        """All stored keys in deterministic global commit order."""
+        if self._order_cache is None:
+            ordered = sorted(
+                (entry for log in self._logs.values() for entry in log.entries.values()),
+                key=lambda entry: (entry.seq, entry.shard, entry.offset),
+            )
+            self._order_cache = [entry.key for entry in ordered]
+        return list(self._order_cache)
 
     def get(self, key: str) -> Optional[ResultRecord]:
         """The record stored under ``key`` (loaded lazily), or ``None``."""
-        raise NotImplementedError
+        log = self._route(key)
+        return None if log is None else log.get(key)
 
     def iter_records(self) -> Iterator[ResultRecord]:
         """Every record, in :meth:`keys` order."""
@@ -322,269 +253,121 @@ class StoreLayout:
         The index-resident path config-equality queries filter on without
         deserialising result payloads.
         """
-        raise NotImplementedError
+        for key in self.keys():
+            log = self._route(key)
+            assert log is not None
+            yield key, log.entries[key].config
 
+    # -- write side ---------------------------------------------------------
     def append(self, record: ResultRecord) -> ResultRecord:
         """Durably commit ``record`` (dedup-checked, locked, fsynced)."""
-        raise NotImplementedError
+        log = self._route(record.key, create=True)
+        assert log is not None
+        self._order_cache = None
+        return log.append(record)
 
+    # -- lifecycle ----------------------------------------------------------
     def verify(self) -> List[str]:
         """Deep-check every byte; return human-readable problem strings."""
-        raise NotImplementedError
+        problems: List[str] = []
+        for log in self.logs():
+            problems.extend(log.verify())
+        return problems
 
     def compact(self) -> Dict[str, Any]:
-        """Rewrite storage dropping garbage; return a summary dict."""
-        raise NotImplementedError
+        """Rewrite every log canonically, dropping garbage; return a summary."""
+        segments = bytes_before = bytes_after = 0
+        for log in self.logs():
+            if not os.path.exists(log.path):
+                continue
+            before, after = log.compact()
+            segments += 1
+            bytes_before += before
+            bytes_after += after
+        self._order_cache = None
+        if TRACER.enabled:
+            TRACER.add("store.compactions")
+            TRACER.add("store.compaction.segments", segments)
+            TRACER.add(
+                "store.compaction.bytes_reclaimed", bytes_before - bytes_after
+            )
+        return {
+            "layout": self.name,
+            "segments_compacted": segments,
+            "bytes_before": bytes_before,
+            "bytes_after": bytes_after,
+            "records": len(self),
+        }
 
     def gc(self) -> Dict[str, Any]:
         """Remove dead artefacts (stale locks, tmp files, orphans)."""
+        removed: Dict[str, List[str]] = {
+            "stale_locks": [], "tmp_files": [], "migration_leftovers": [],
+        }
+        segments_dir = os.path.join(self._directory, SEGMENTS_DIRNAME)
+        index_dir = os.path.join(self._directory, INDEX_DIRNAME)
+        lock_paths = [os.path.join(self._directory, LOCK_FILENAME)]
+        for base in (self._directory, segments_dir, index_dir):
+            if not os.path.isdir(base):
+                continue
+            for name in sorted(os.listdir(base)):
+                path = os.path.join(base, name)
+                if name.endswith(".tmp"):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(path)
+                    removed["tmp_files"].append(path)
+                elif name.endswith(".lock") and base == segments_dir:
+                    lock_paths.append(path)
+        for lock_path in lock_paths:
+            if os.path.exists(lock_path) and is_stale_lockfile(lock_path):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(lock_path)
+                removed["stale_locks"].append(lock_path)
+        self._gc_leftovers(removed)
+        return {"layout": self.name, "removed": removed}
+
+    def _gc_leftovers(self, removed: Dict[str, List[str]]) -> None:
+        """Remove the artefacts only this layout knows to be dead."""
         raise NotImplementedError
 
 
-# ---------------------------------------------------------------------------
-# v1: single records.jsonl under one store-wide lock
-# ---------------------------------------------------------------------------
-
 class SingleFileLayout(StoreLayout):
-    """v1: one append-only ``records.jsonl``, fully indexed in memory.
-
-    Opening scans the whole file under the store lock, verifying every
-    record's content address and repairing a torn trailing line left by a
-    crashed writer — the exact machinery PR 4 hardened, unchanged, so
-    every existing campaign directory keeps its byte-for-byte guarantees.
-    """
+    """v1: one log on ``records.jsonl``, fully parsed and verified on open."""
 
     name = SINGLE_FILE
 
     def __init__(self, directory: str, lock_timeout_s: Optional[float] = None):
         super().__init__(directory, lock_timeout_s)
-        self._records: Dict[str, ResultRecord] = {}
-        self._order: List[str] = []
-        #: Byte offset up to which ``records.jsonl`` has been indexed; bytes
-        #: past it were appended by other writers since our last look.
-        self._scan_offset = 0
-        if os.path.exists(self.records_path):
-            with self._lock():
-                self._refresh_from_disk()
+        self._open([""])
+
+    @staticmethod
+    def make_log(
+        directory: str,
+        shard: str,
+        take_seq: Callable[[], int],
+        lock_timeout_s: Optional[float] = None,
+    ) -> SegmentLog:
+        return SegmentLog(
+            os.path.join(directory, RECORDS_FILENAME),
+            os.path.join(directory, LOCK_FILENAME),
+            take_seq,
+            lock_timeout_s=lock_timeout_s,
+        )
 
     @property
     def records_path(self) -> str:
         """Path of the JSONL records file."""
         return os.path.join(self._directory, RECORDS_FILENAME)
 
-    def _lock(self) -> Any:
-        return file_lock(
-            os.path.join(self._directory, LOCK_FILENAME),
-            timeout_s=self._lock_timeout_s,
-        )
+    def _route(self, key: str, create: bool = False) -> Optional[SegmentLog]:
+        return self._logs[""]
 
-    # -- read side ----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def has(self, key: str) -> bool:
-        return key in self._records
-
-    def keys(self) -> List[str]:
-        return list(self._order)
-
-    def get(self, key: str) -> Optional[ResultRecord]:
-        return self._records.get(key)
-
-    def iter_configs(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        for key in self._order:
-            yield key, self._records[key].config
-
-    # -- write side ---------------------------------------------------------
-    def append(self, record: ResultRecord) -> ResultRecord:
-        existing = self._records.get(record.key)
-        if existing is not None:
-            return reconcile(existing, record)
-        with self._lock():
-            # Another process may have committed this cell (or others) since
-            # we last looked; index the new tail before deciding to append.
-            self._refresh_from_disk()
-            existing = self._records.get(record.key)
-            if existing is not None:
-                return reconcile(existing, record)
-            payload = (record.to_json_line() + "\n").encode("utf-8")
-            self._append_payload_locked(payload)
-            self._scan_offset += len(payload)
-        self._records[record.key] = record
-        self._order.append(record.key)
-        return record
-
-    def _append_payload_locked(self, payload: bytes) -> None:
-        """One write+fsync to the O_APPEND fd.  Caller holds the lock."""
-        append_start = time.perf_counter() if TRACER.enabled else 0.0
-        fd = os.open(  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the store lock around this call
-            self.records_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            start = os.fstat(fd).st_size
-            try:
-                written = 0
-                while written < len(payload):
-                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the store lock around this call
-                    if chunk == 0:
-                        raise StoreError(
-                            f"zero-byte write appending to {self.records_path}"
-                        )
-                    written += chunk
-                fsync_start = time.perf_counter() if TRACER.enabled else 0.0
-                os.fsync(fd)
-                if TRACER.enabled:
-                    now = time.perf_counter()
-                    TRACER.add("store.appends")
-                    TRACER.add("store.bytes_appended", len(payload))
-                    TRACER.add("store.fsync_s", now - fsync_start)
-                    TRACER.add("store.append_s", now - append_start)
-            except BaseException:
-                # A short/failed write leaves a torn fragment that later
-                # appends would turn into unrepairable *mid-file*
-                # corruption; roll it back while we still hold the lock.
-                with contextlib.suppress(OSError):
-                    os.ftruncate(fd, start)
-                raise
-        finally:
-            os.close(fd)
-
-    # -- internals ----------------------------------------------------------
-    def _refresh_from_disk(self) -> None:
-        """Index records appended since the last scan.  Caller holds the lock.
-
-        Because every writer appends only while holding the lock, a partial
-        trailing line observed *under the lock* can only be a crash artifact:
-        it is repaired in place (truncated, or completed with its missing
-        newline when the record itself survived intact).
-        """
-        if not os.path.exists(self.records_path):
-            return
-        with open(self.records_path, "rb") as handle:
-            handle.seek(self._scan_offset)
-            data = handle.read()
-        position = 0
-        while position < len(data):
-            newline = data.find(b"\n", position)
-            if newline == -1:
-                self._repair_tail(data[position:], self._scan_offset + position)
-                return
-            line = data[position:newline]
-            if line.strip():
-                self._index_line(line, self._scan_offset + position)
-            position = newline + 1
-        self._scan_offset += position
-
-    def _index_line(self, line: bytes, offset: int) -> None:
-        record = parse_record_line(line, self.records_path, offset)
-        existing = self._records.get(record.key)
-        if existing is not None:
-            if existing.to_json_line() != record.to_json_line():
-                raise StoreIntegrityError(
-                    f"{self.records_path} holds two different results for key "
-                    f"{record.key} (second at byte {offset}); refusing to "
-                    "pick one silently"
-                )
-            return
-        self._records[record.key] = record
-        self._order.append(record.key)
-
-    def _repair_tail(self, fragment: bytes, offset: int) -> None:
-        """Handle a trailing line with no newline (a crashed writer's append).
-
-        A crash-torn append is a strict prefix of one JSON object and can
-        never parse, so an unparseable fragment is truncated away (the cell
-        is re-simulated on resume).  A fragment that *does* parse is a
-        complete record missing only its newline: it is verified exactly
-        like any other line — failing loudly on a bad content address —
-        and then completed in place.
-        """
-        if not fragment.strip():
-            # Just stray whitespace at the tail; absorb it.
-            self._scan_offset = offset + len(fragment)
-            return
-        try:
-            ResultRecord.from_json_line(fragment.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            fd = os.open(self.records_path, os.O_RDWR)
-            try:
-                os.ftruncate(fd, offset)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._scan_offset = offset
-            if TRACER.enabled:
-                TRACER.add("store.torn_tail_repairs")
-                TRACER.event(
-                    "store.torn_tail_repair",
-                    {"path": self.records_path, "offset": offset,
-                     "truncated_bytes": len(fragment)},
-                )
-            return
-        self._index_line(fragment, offset)  # raises on key/config mismatch
-        with open(self.records_path, "ab") as handle:  # repro-lint: ignore[RPR104] -- _repair_tail runs with the store lock already held by its caller
-            handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._scan_offset = offset + len(fragment) + 1
-        if TRACER.enabled:
-            TRACER.add("store.torn_tail_repairs")
-            TRACER.event(
-                "store.torn_tail_repair",
-                {"path": self.records_path, "offset": offset,
-                 "restored_newline": True},
-            )
-
-    # -- lifecycle ----------------------------------------------------------
-    def verify(self) -> List[str]:
-        problems: List[str] = []
-        if not os.path.exists(self.records_path):
-            return problems
-        raw = _read_bytes(self.records_path)
-        if raw and not raw.endswith(b"\n"):
-            problems.append(
-                f"{self.records_path}: missing trailing newline (reopening "
-                "the store repairs this)"
-            )
-        return problems
-
-    def compact(self) -> Dict[str, Any]:
-        """Rewrite ``records.jsonl`` canonically (drops stray whitespace)."""
-        with self._lock():
-            self._refresh_from_disk()
-            before = (
-                os.path.getsize(self.records_path)
-                if os.path.exists(self.records_path) else 0
-            )
-            payload = "".join(
-                self._records[key].to_json_line() + "\n" for key in self._order
-            ).encode("utf-8")
-            if payload or before:
-                _write_file_durably(self.records_path, payload)
-            self._scan_offset = len(payload)
-        if TRACER.enabled:
-            TRACER.add("store.compactions")
-            TRACER.add("store.compaction.bytes_reclaimed", before - len(payload))
-        return {
-            "layout": self.name,
-            "segments_compacted": 1 if (payload or before) else 0,
-            "bytes_before": before,
-            "bytes_after": len(payload),
-            "records": len(self._records),
-        }
-
-    def gc(self) -> Dict[str, Any]:
-        removed: Dict[str, List[str]] = {
-            "stale_locks": [], "tmp_files": [], "migration_leftovers": [],
-        }
-        _gc_stale_lock(os.path.join(self._directory, LOCK_FILENAME), removed)
-        _gc_tmp_files(self._directory, removed)
+    def _gc_leftovers(self, removed: Dict[str, List[str]]) -> None:
         # An interrupted sharded->single-file migration removes the manifest
         # (making v1 authoritative) before the segment dirs; sweep them up.
         for dirname in (SEGMENTS_DIRNAME, INDEX_DIRNAME):
             path = os.path.join(self._directory, dirname)
             if os.path.isdir(path):
-                _gc_tmp_files(path, removed)
                 for name in sorted(os.listdir(path)):
                     os.unlink(os.path.join(path, name))
                     removed["migration_leftovers"].append(
@@ -592,17 +375,12 @@ class SingleFileLayout(StoreLayout):
                     )
                 os.rmdir(path)
                 removed["migration_leftovers"].append(path)
-        return {"layout": self.name, "removed": removed}
 
-
-# ---------------------------------------------------------------------------
-# v2: key-prefix segments + compacted sidecar index, per-segment locks
-# ---------------------------------------------------------------------------
 
 class ShardedLayout(StoreLayout):
-    """v2: records sharded by content-key prefix with a compacted index.
+    """v2: one sidecar-indexed log per content-key prefix, plus a manifest.
 
-    See the module docstring for the determinism and durability contracts.
+    See the module docstring for the determinism contract.
     """
 
     name = SHARDED
@@ -621,42 +399,36 @@ class ShardedLayout(StoreLayout):
             self._prefix_chars = SHARD_PREFIX_CHARS
         else:
             self._prefix_chars = int(manifest["shard_prefix_chars"])
+        self._segments_dir = os.path.join(self._directory, SEGMENTS_DIRNAME)
+        self._index_dir = os.path.join(self._directory, INDEX_DIRNAME)
         os.makedirs(self._segments_dir, exist_ok=True)
         os.makedirs(self._index_dir, exist_ok=True)
-        #: key -> index entry (the O(1) membership map; payload-free).
-        self._entries: Dict[str, IndexEntry] = {}
-        #: Lazily parsed records, cached by key.
-        self._loaded: Dict[str, ResultRecord] = {}
-        #: Per shard: segment bytes accounted for by ``_entries``.
-        self._coverage: Dict[str, int] = {}
-        #: Next commit sequence number; materialised lazily on first write
-        #: (computing it decodes every index entry, which a read-only open
-        #: never needs to pay for).
-        self._next_seq: Optional[int] = None
-        self._order_cache: Optional[List[str]] = None
-        self._load_existing()
+        if TRACER.enabled:
+            TRACER.add("store.index.loads")
+        self._open(self._shard_names())
 
-    # -- paths --------------------------------------------------------------
-    @property
-    def _segments_dir(self) -> str:
-        return os.path.join(self._directory, SEGMENTS_DIRNAME)
-
-    @property
-    def _index_dir(self) -> str:
-        return os.path.join(self._directory, INDEX_DIRNAME)
-
-    def _segment_path(self, shard: str) -> str:
-        return os.path.join(self._segments_dir, f"{shard}.jsonl")
-
-    def _sidecar_path(self, shard: str) -> str:
-        return os.path.join(self._index_dir, f"{shard}.idx")
-
-    def _segment_lock(self, shard: str) -> Any:
-        return file_lock(
-            os.path.join(self._segments_dir, f"{shard}.lock"),
-            timeout_s=self._lock_timeout_s,
-            counter_prefix="store.segment.lock",
+    @staticmethod
+    def make_log(
+        directory: str,
+        shard: str,
+        take_seq: Callable[[], int],
+        lock_timeout_s: Optional[float] = None,
+    ) -> SegmentLog:
+        segments = os.path.join(directory, SEGMENTS_DIRNAME)
+        return SegmentLog(
+            os.path.join(segments, f"{shard}.jsonl"),
+            os.path.join(segments, f"{shard}.lock"),
+            take_seq,
+            sidecar_path=os.path.join(directory, INDEX_DIRNAME, f"{shard}.idx"),
+            shard=shard,
+            lock_timeout_s=lock_timeout_s,
+            lock_counter_prefix="store.segment.lock",
         )
+
+    @property
+    def prefix_chars(self) -> int:
+        """Hex characters of the content key that name its segment."""
+        return self._prefix_chars
 
     def shard_of(self, key: str) -> str:
         """The segment a content key routes to (its leading hex chars)."""
@@ -666,533 +438,30 @@ class ShardedLayout(StoreLayout):
             )
         return key[: self._prefix_chars]
 
+    def _route(self, key: str, create: bool = False) -> Optional[SegmentLog]:
+        log = self._logs.get(key[: self._prefix_chars])
+        if log is None and create:
+            shard = self.shard_of(key)
+            log = self._logs[shard] = self.make_log(
+                self._directory, shard, self._take_seq, self._lock_timeout_s
+            )
+        return log
+
     def _shard_names(self) -> List[str]:
         names = []
         for filename in sorted(os.listdir(self._segments_dir)):
-            if not filename.endswith(".jsonl"):
-                continue
             shard = filename[: -len(".jsonl")]
-            if len(shard) == self._prefix_chars and _is_hex(shard):
+            if (
+                filename.endswith(".jsonl")
+                and len(shard) == self._prefix_chars
+                and all(char in "0123456789abcdef" for char in shard)
+            ):
                 names.append(shard)
         return names
 
-    # -- open ---------------------------------------------------------------
-    def _load_existing(self) -> None:
-        if TRACER.enabled:
-            TRACER.add("store.index.loads")
-        for shard in self._shard_names():
-            self._load_shard(shard)
-
-    def _load_shard(self, shard: str) -> None:
-        seg_path = self._segment_path(shard)
-        size = os.path.getsize(seg_path)
-        entries, coverage, intact = self._read_sidecar(shard, size)
-        if intact and coverage == size:
-            # The hot path: a compacted index fully covering its segment —
-            # no lock, no segment read, no payload parse.
-            self._adopt(shard, entries, coverage)
-            return
-        # Index stale (writer crashed between segment and index append),
-        # torn, or corrupt: reconcile against the authoritative segment
-        # bytes under the segment lock, then rewrite the sidecar compacted.
-        with self._segment_lock(shard):
-            if not intact:
-                entries, coverage = [], 0
-                if TRACER.enabled:
-                    TRACER.add("store.index.rebuilds")
-            by_key = {entry.key: entry for entry in entries}
-            tail, coverage = self._scan_segment_locked(shard, coverage, by_key)
-            entries.extend(tail)
-            self._rewrite_sidecar_locked(shard, entries)
-        self._adopt(shard, entries, coverage)
-
-    def _adopt(
-        self, shard: str, entries: List[IndexEntry], coverage: int
-    ) -> None:
-        for entry in entries:
-            self._entries[entry.key] = entry
-            if self._next_seq is not None and entry.seq >= self._next_seq:
-                self._next_seq = entry.seq + 1
-        self._coverage[shard] = coverage
-        self._order_cache = None
-
-    def _take_seq(self) -> int:
-        """Claim the next commit sequence number (materialising it lazily)."""
-        if self._next_seq is None:
-            self._next_seq = 1 + max(
-                (entry.seq for entry in self._entries.values()), default=-1
-            )
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
-
-    def _read_sidecar(
-        self, shard: str, segment_size: int
-    ) -> Tuple[List[IndexEntry], int, bool]:
-        """Load ``index/<shard>.idx``: ``(entries, coverage, intact)``.
-
-        ``intact=False`` demands a full rebuild from the segment.  A torn
-        *final* line (a writer crashed mid index append) is dropped — the
-        segment tail scan recovers the records it covered — but damage
-        anywhere else distrusts the whole sidecar.
-        """
-        path = self._sidecar_path(shard)
-        if not os.path.exists(path):
-            return [], 0, segment_size == 0
-        raw = _read_bytes(path)
-        entries: List[IndexEntry] = []
-        seen = set()
-        prefix_len = len(_INDEX_LINE_PREFIX)
-        key_end = prefix_len + _KEY_HEX_CHARS
-        lines = raw.split(b"\n")
-        # A final chunk with no terminating newline is a torn index append;
-        # drop it — the segment tail scan recovers the record it covered.
-        lines.pop()
-        last = len(lines) - 1
-        make_lazy = IndexEntry.lazy
-        adopt_entry = entries.append
-        note_seen = seen.add
-        for position, line in enumerate(lines):
-            # Fast structural check: the fixed field order puts the key
-            # first, so membership needs only a slice, not a JSON parse.
-            if (
-                line[:prefix_len] == _INDEX_LINE_PREFIX
-                and line[key_end:key_end + 2] == b'",'
-            ):
-                key = line[prefix_len:key_end].decode("ascii")
-                if key[: len(shard)] != shard:
-                    return [], 0, False
-                entry = make_lazy(key, shard, line)
-            else:
-                if not line.strip():
-                    continue
-                try:
-                    entry = IndexEntry.from_json_line(
-                        line.decode("utf-8"), shard
-                    )
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    if position == last:
-                        break  # unparseable *final* line: torn-append case
-                    return [], 0, False
-                if not entry.key.startswith(shard):
-                    return [], 0, False
-            if entry.key in seen:
-                return [], 0, False
-            note_seen(entry.key)
-            adopt_entry(entry)
-        # Coverage comes from the final entry alone; interior rows decode
-        # lazily and are deep-checked by `verify`.  A final row that fails
-        # to decode is the torn-append case one more time: drop it and let
-        # the locked tail scan recover its record from the segment — but
-        # only the final row earns that forgiveness.
-        if not entries:
-            return [], 0, True
-        try:
-            coverage = entries[-1].end()
-        except StoreIntegrityError:
-            entries.pop()
-            if not entries:
-                return [], 0, True
-            try:
-                coverage = entries[-1].end()
-            except StoreIntegrityError:
-                return [], 0, False
-        if coverage > segment_size:
-            return [], 0, False
-        return entries, coverage, True
-
-    def _scan_segment_locked(
-        self,
-        shard: str,
-        from_offset: int,
-        known: Dict[str, IndexEntry],
-    ) -> Tuple[List[IndexEntry], int]:
-        """Index segment bytes past ``from_offset``.  Caller holds the lock.
-
-        Returns the new entries and the post-scan coverage.  Exactly v1's
-        tail semantics per segment: whitespace is absorbed, an unparseable
-        trailing fragment is truncated away, a parseable one is verified
-        and completed with its newline, and damage anywhere *except* the
-        tail raises :class:`StoreIntegrityError`.
-        """
-        seg_path = self._segment_path(shard)
-        if not os.path.exists(seg_path):
-            return [], from_offset
-        with open(seg_path, "rb") as handle:
-            handle.seek(from_offset)
-            data = handle.read()
-        new_entries: List[IndexEntry] = []
-        position = 0
-        coverage = from_offset
-        while position < len(data):
-            newline = data.find(b"\n", position)
-            offset = from_offset + position
-            if newline == -1:
-                fragment = data[position:]
-                coverage = self._repair_segment_tail_locked(
-                    shard, fragment, offset, known, new_entries
-                )
-                return new_entries, coverage
-            line = data[position:newline]
-            if line.strip():
-                self._index_segment_line(
-                    shard, line, offset, known, new_entries
-                )
-            position = newline + 1
-            coverage = from_offset + position
-        return new_entries, coverage
-
-    def _index_segment_line(
-        self,
-        shard: str,
-        line: bytes,
-        offset: int,
-        known: Dict[str, IndexEntry],
-        new_entries: List[IndexEntry],
-    ) -> None:
-        seg_path = self._segment_path(shard)
-        record = parse_record_line(line, seg_path, offset)
-        if self.shard_of(record.key) != shard:
-            raise StoreIntegrityError(
-                f"{seg_path} is corrupt at byte {offset}: record key "
-                f"{record.key} does not belong to segment {shard!r}"
-            )
-        existing = known.get(record.key)
-        if existing is not None:
-            duplicate = self._load_record(existing)
-            if duplicate.to_json_line() != record.to_json_line():
-                raise StoreIntegrityError(
-                    f"{seg_path} holds two different results for key "
-                    f"{record.key} (second at byte {offset}); refusing to "
-                    "pick one silently"
-                )
-            return
-        entry = IndexEntry(
-            key=record.key,
-            shard=shard,
-            offset=offset,
-            length=len(line),
-            seq=self._take_seq(),
-            config=record.config,
-        )
-        known[record.key] = entry
-        new_entries.append(entry)
-        self._loaded[record.key] = record
-
-    def _repair_segment_tail_locked(
-        self,
-        shard: str,
-        fragment: bytes,
-        offset: int,
-        known: Dict[str, IndexEntry],
-        new_entries: List[IndexEntry],
-    ) -> int:
-        """v1's torn-tail repair, per segment.  Caller holds the lock."""
-        seg_path = self._segment_path(shard)
-        if not fragment.strip():
-            return offset + len(fragment)  # stray whitespace; absorb it
-        try:
-            ResultRecord.from_json_line(fragment.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            fd = os.open(seg_path, os.O_RDWR)
-            try:
-                os.ftruncate(fd, offset)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            if TRACER.enabled:
-                TRACER.add("store.torn_tail_repairs")
-                TRACER.event(
-                    "store.torn_tail_repair",
-                    {"path": seg_path, "offset": offset,
-                     "truncated_bytes": len(fragment)},
-                )
-            return offset
-        # A complete record missing only its newline: verify it like any
-        # other line, then complete it in place.
-        self._index_segment_line(shard, fragment, offset, known, new_entries)
-        with open(seg_path, "ab") as handle:  # repro-lint: ignore[RPR104] -- tail repair runs with the segment lock already held by its caller
-            handle.write(b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if TRACER.enabled:
-            TRACER.add("store.torn_tail_repairs")
-            TRACER.event(
-                "store.torn_tail_repair",
-                {"path": seg_path, "offset": offset, "restored_newline": True},
-            )
-        return offset + len(fragment) + 1
-
-    def _rewrite_sidecar_locked(
-        self, shard: str, entries: List[IndexEntry]
-    ) -> None:
-        """Atomically replace ``index/<shard>.idx``.  Caller holds the lock."""
-        payload = "".join(
-            entry.to_json_line() + "\n" for entry in entries
-        ).encode("utf-8")
-        _write_file_durably(self._sidecar_path(shard), payload)
-
-    # -- read side ----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def has(self, key: str) -> bool:
-        return key in self._entries
-
-    def keys(self) -> List[str]:
-        if self._order_cache is None:
-            ordered = sorted(
-                self._entries.values(),
-                key=lambda entry: (entry.seq, entry.shard, entry.offset),
-            )
-            self._order_cache = [entry.key for entry in ordered]
-        return list(self._order_cache)
-
-    def get(self, key: str) -> Optional[ResultRecord]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        cached = self._loaded.get(key)
-        if cached is not None:
-            return cached
-        record = self._load_record(entry)
-        self._loaded[key] = record
-        return record
-
-    def _load_record(self, entry: IndexEntry) -> ResultRecord:
-        cached = self._loaded.get(entry.key)
-        if cached is not None:
-            return cached
-        seg_path = self._segment_path(entry.shard)
-        with open(seg_path, "rb") as handle:
-            handle.seek(entry.offset)
-            line = handle.read(entry.length)
-        record = parse_record_line(line, seg_path, entry.offset)
-        if record.key != entry.key:
-            raise StoreIntegrityError(
-                f"{seg_path}: index entry for key {entry.key} points at a "
-                f"record with key {record.key} (byte {entry.offset}); the "
-                "sidecar index is stale — run `repro store compact`"
-            )
-        if TRACER.enabled:
-            TRACER.add("store.lazy_record_loads")
-        return record
-
-    def iter_configs(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        for key in self.keys():
-            yield key, self._entries[key].config
-
-    # -- write side ---------------------------------------------------------
-    def append(self, record: ResultRecord) -> ResultRecord:
-        existing_entry = self._entries.get(record.key)
-        if existing_entry is not None:
-            loaded = self.get(record.key)
-            assert loaded is not None
-            return reconcile(loaded, record)
-        shard = self.shard_of(record.key)
-        with self._segment_lock(shard):
-            # Another process may have committed to this segment since we
-            # last looked; index its new tail before deciding to append.
-            self._refresh_shard_locked(shard)
-            existing_entry = self._entries.get(record.key)
-            if existing_entry is not None:
-                loaded = self._load_record(existing_entry)
-                return reconcile(loaded, record)
-            line = record.to_json_line()
-            payload = (line + "\n").encode("utf-8")
-            start = self._append_segment_payload_locked(shard, payload)
-            entry = IndexEntry(
-                key=record.key,
-                shard=shard,
-                offset=start,
-                length=len(payload) - 1,
-                seq=self._take_seq(),
-                config=record.config,
-            )
-            # The sidecar append is unfsynced on purpose: the index is
-            # derived state, rebuilt from the segment if a crash tears it.
-            with open(self._sidecar_path(shard), "ab") as handle:
-                handle.write((entry.to_json_line() + "\n").encode("utf-8"))
-                handle.flush()
-            self._entries[record.key] = entry
-            self._coverage[shard] = entry.end()
-            self._order_cache = None
-        self._loaded[record.key] = record
-        return record
-
-    def _append_segment_payload_locked(self, shard: str, payload: bytes) -> int:
-        """One write+fsync to the segment's O_APPEND fd.  Caller holds its lock.
-
-        Returns the byte offset the payload landed at.
-        """
-        seg_path = self._segment_path(shard)
-        append_start = time.perf_counter() if TRACER.enabled else 0.0
-        fd = os.open(  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
-            seg_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            start = os.fstat(fd).st_size
-            try:
-                written = 0
-                while written < len(payload):
-                    chunk = os.write(fd, payload[written:])  # repro-lint: ignore[RPR104] -- leaf of append(), which holds the segment lock around this call
-                    if chunk == 0:
-                        raise StoreError(
-                            f"zero-byte write appending to {seg_path}"
-                        )
-                    written += chunk
-                fsync_start = time.perf_counter() if TRACER.enabled else 0.0
-                os.fsync(fd)
-                if TRACER.enabled:
-                    now = time.perf_counter()
-                    TRACER.add("store.appends")
-                    TRACER.add("store.bytes_appended", len(payload))
-                    TRACER.add("store.segment.appends")
-                    TRACER.add("store.segment.bytes_appended", len(payload))
-                    TRACER.add("store.fsync_s", now - fsync_start)
-                    TRACER.add("store.append_s", now - append_start)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.ftruncate(fd, start)
-                raise
-        finally:
-            os.close(fd)
-        return start
-
-    def _refresh_shard_locked(self, shard: str) -> None:
-        """Index other writers' appends to ``shard``.  Caller holds its lock."""
-        coverage = self._coverage.get(shard, 0)
-        by_key = {
-            key: entry for key, entry in self._entries.items()
-            if entry.shard == shard
-        }
-        tail, coverage = self._scan_segment_locked(shard, coverage, by_key)
-        if tail:
-            self._adopt(shard, tail, coverage)
-            # Keep the sidecar ahead of what we just learned from the
-            # segment so the next open takes the lock-free fast path.
-            all_entries = sorted(
-                (e for e in self._entries.values() if e.shard == shard),
-                key=lambda entry: entry.offset,
-            )
-            self._rewrite_sidecar_locked(shard, all_entries)
-        else:
-            self._coverage[shard] = coverage
-
-    # -- lifecycle ----------------------------------------------------------
-    def verify(self) -> List[str]:
-        """Load and content-verify every record; cross-check the index."""
-        problems: List[str] = []
-        by_shard: Dict[str, List[IndexEntry]] = {}
-        for key in sorted(self._entries):
-            entry = self._entries[key]
-            by_shard.setdefault(entry.shard, []).append(entry)
-            if self.shard_of(key) != entry.shard:
-                problems.append(
-                    f"index entry for key {key} routed to segment "
-                    f"{entry.shard!r}, expected {self.shard_of(key)!r}"
-                )
-        for shard in self._shard_names():
-            size = os.path.getsize(self._segment_path(shard))
-            covered = self._coverage.get(shard, 0)
-            if covered != size:
-                problems.append(
-                    f"segment {shard}: {size - covered} bytes beyond index "
-                    "coverage (reopen or compact to reconcile)"
-                )
-            spans: List[Tuple[int, int]] = []
-            for entry in by_shard.get(shard, []):
-                try:
-                    self._load_record(entry)
-                    spans.append((entry.offset, entry.end()))
-                except StoreIntegrityError as error:
-                    problems.append(str(error))
-            spans.sort()
-            position = 0
-            for start, stop in spans:
-                if start < position:
-                    problems.append(
-                        f"segment {shard}: index entries overlap at byte "
-                        f"{start}"
-                    )
-                position = stop
-        return problems
-
-    def compact(self) -> Dict[str, Any]:
-        """Rewrite each segment + sidecar, dropping index garbage.
-
-        Records are rewritten canonically in offset order (preserving every
-        ``seq``, hence the global iteration order), which drops stray
-        whitespace from the segments and stale or duplicate rows from the
-        sidecars; afterwards every sidecar exactly covers its segment, so
-        subsequent opens take the lock-free fast path.
-        """
-        segments = 0
-        bytes_before = 0
-        bytes_after = 0
-        for shard in self._shard_names():
-            with self._segment_lock(shard):
-                self._refresh_shard_locked(shard)
-                entries = sorted(
-                    (e for e in self._entries.values() if e.shard == shard),
-                    key=lambda entry: entry.offset,
-                )
-                before = os.path.getsize(self._segment_path(shard))
-                pieces: List[bytes] = []
-                rewritten: List[IndexEntry] = []
-                offset = 0
-                for entry in entries:
-                    record = self._load_record(entry)
-                    line = record.to_json_line().encode("utf-8")
-                    pieces.append(line + b"\n")
-                    rewritten.append(
-                        IndexEntry(
-                            key=entry.key,
-                            shard=shard,
-                            offset=offset,
-                            length=len(line),
-                            seq=entry.seq,
-                            config=entry.config,
-                        )
-                    )
-                    offset += len(line) + 1
-                payload = b"".join(pieces)
-                _write_file_durably(self._segment_path(shard), payload)
-                self._rewrite_sidecar_locked(shard, rewritten)
-                for entry in rewritten:
-                    self._entries[entry.key] = entry
-                self._coverage[shard] = len(payload)
-                self._order_cache = None
-            segments += 1
-            bytes_before += before
-            bytes_after += len(payload)
-        if TRACER.enabled:
-            TRACER.add("store.compactions")
-            TRACER.add("store.compaction.segments", segments)
-            TRACER.add(
-                "store.compaction.bytes_reclaimed", bytes_before - bytes_after
-            )
-        return {
-            "layout": self.name,
-            "segments_compacted": segments,
-            "bytes_before": bytes_before,
-            "bytes_after": bytes_after,
-            "records": len(self._entries),
-        }
-
-    def gc(self) -> Dict[str, Any]:
-        removed: Dict[str, List[str]] = {
-            "stale_locks": [], "tmp_files": [], "migration_leftovers": [],
-            "orphan_sidecars": [], "empty_segments": [],
-        }
-        for base in (self._directory, self._segments_dir, self._index_dir):
-            _gc_tmp_files(base, removed)
-        for name in sorted(os.listdir(self._segments_dir)):
-            if name.endswith(".lock"):
-                _gc_stale_lock(
-                    os.path.join(self._segments_dir, name), removed
-                )
-        _gc_stale_lock(os.path.join(self._directory, LOCK_FILENAME), removed)
+    def _gc_leftovers(self, removed: Dict[str, List[str]]) -> None:
+        removed["orphan_sidecars"] = []
+        removed["empty_segments"] = []
         # A records.jsonl next to a manifest is an interrupted migration's
         # leftover: the manifest is authoritative, the v1 file is dead.
         stale_v1 = os.path.join(self._directory, RECORDS_FILENAME)
@@ -1201,29 +470,21 @@ class ShardedLayout(StoreLayout):
             removed["migration_leftovers"].append(stale_v1)
         shards = set(self._shard_names())
         for name in sorted(os.listdir(self._index_dir)):
-            if not name.endswith(".idx"):
-                continue
-            shard = name[: -len(".idx")]
-            if shard not in shards:
+            shard, extension = os.path.splitext(name)
+            if extension == ".idx" and shard not in shards:
                 os.unlink(os.path.join(self._index_dir, name))
                 removed["orphan_sidecars"].append(
                     os.path.join(self._index_dir, name)
                 )
         for shard in sorted(shards):
-            seg_path = self._segment_path(shard)
-            if os.path.getsize(seg_path) == 0:
-                os.unlink(seg_path)
-                removed["empty_segments"].append(seg_path)
-                sidecar = self._sidecar_path(shard)
-                if os.path.exists(sidecar):
-                    os.unlink(sidecar)
-                    removed["empty_segments"].append(sidecar)
-        return {"layout": self.name, "removed": removed}
+            log = self.make_log(self._directory, shard, self._take_seq)
+            if os.path.getsize(log.path) == 0:
+                assert log.sidecar_path is not None
+                for path in (log.path, log.sidecar_path):
+                    if os.path.exists(path):
+                        os.unlink(path)
+                        removed["empty_segments"].append(path)
 
-
-# ---------------------------------------------------------------------------
-# shared helpers
-# ---------------------------------------------------------------------------
 
 def make_layout(
     name: str, directory: str, lock_timeout_s: Optional[float] = None
@@ -1236,42 +497,3 @@ def make_layout(
     raise StoreError(
         f"unknown store layout {name!r}; known layouts: {LAYOUT_NAMES}"
     )
-
-
-def _is_hex(text: str) -> bool:
-    return all(char in "0123456789abcdef" for char in text)
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
-def _write_file_durably(path: str, payload: bytes) -> None:
-    """Atomically replace ``path`` with ``payload`` (tmp + fsync + rename)."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def _gc_stale_lock(lock_path: str, removed: Dict[str, List[str]]) -> None:
-    from repro.store.locks import is_stale_lockfile
-
-    if os.path.exists(lock_path) and is_stale_lockfile(lock_path):
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(lock_path)
-        removed["stale_locks"].append(lock_path)
-
-
-def _gc_tmp_files(directory: str, removed: Dict[str, List[str]]) -> None:
-    if not os.path.isdir(directory):
-        return
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".tmp"):
-            path = os.path.join(directory, name)
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-            removed["tmp_files"].append(path)

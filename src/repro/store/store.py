@@ -1,18 +1,19 @@
 """Content-addressed campaign store, safe for crashes and co-writers.
 
-:class:`CampaignStore` is the facade the rest of the repository talks to;
-the on-disk engine behind it is a pluggable :class:`~repro.store.layout.
-StoreLayout`:
+:class:`CampaignStore` is the facade the rest of the repository talks to.
+Behind it sits one storage engine, :class:`~repro.store.segment.
+SegmentLog` (an append-only JSONL log with its lock and optional sidecar
+index), under one of two routings (:mod:`repro.store.layout`):
 
-* **single-file (v1)** — one append-only ``records.jsonl`` under one
-  store-wide advisory lock.  The historical layout; every pre-existing
+* **single-file (v1)** — one log, ``records.jsonl``, under the
+  store-wide ``records.lock``.  The historical layout; every pre-existing
   campaign directory opens, resumes, and re-serialises byte-identically.
-* **sharded (v2)** — records routed to ``segments/<hex-prefix>.jsonl``
-  by content-key prefix with per-segment locks and a compacted sidecar
-  index, so membership/cache-hit checks are O(1) over the index and open
-  never parses result payloads.  Created with ``layout="sharded"`` (or
-  ``repro scenario sweep --layout sharded``); converted to and from v1
-  with ``repro store migrate``.
+* **sharded (v2)** — one log per content-key prefix,
+  ``segments/<hex-prefix>.jsonl``, each with its own lock and compacted
+  sidecar index, so membership/cache-hit checks are O(1) over the index
+  and open never parses result payloads.  Created with
+  ``layout="sharded"`` (or ``repro scenario sweep --layout sharded``);
+  converted to and from v1 with ``repro store migrate``.
 
 The layout of an existing directory is auto-detected (``MANIFEST.json``
 marks v2); asking for a layout that contradicts what is on disk raises
@@ -28,13 +29,13 @@ deterministic campaign produces byte-identical store files run after
 run.  The key is the SHA-256 of the canonical JSON of ``config`` — the
 content address every cache/resume decision is made on.
 
-Durability model (both layouts; per segment in v2)
---------------------------------------------------
+Durability model (enforced once, per log, by ``SegmentLog``)
+-------------------------------------------------------------
 
 * **Atomic appends** — every record is one ``write``/``fsync`` to a file
-  opened ``O_APPEND`` while holding an exclusive advisory lock, so
+  opened ``O_APPEND`` while holding the log's exclusive advisory lock, so
   concurrent writer processes never interleave bytes within a record.
-* **Multi-writer dedupe** — before appending, a store re-scans whatever
+* **Multi-writer dedupe** — before appending, a log re-scans whatever
   other writers appended since its last look (under the same lock), so
   two processes racing on the same cell commit exactly one line.
 * **Crash repair** — a process killed mid-append can leave a torn
@@ -42,8 +43,9 @@ Durability model (both layouts; per segment in v2)
   newline) and resumes.  Torn bytes anywhere *except* a tail raise
   :class:`StoreIntegrityError`.
 * **Verification** — every record's ``key`` is re-derived from its
-  ``config`` when its bytes are parsed: eagerly on open for v1, lazily
-  on first load for v2 (``repro store verify`` forces the full check).
+  ``config`` when its bytes are parsed: eagerly on open for a log without
+  a sidecar (v1), lazily on first load for one with (v2); ``repro store
+  verify`` forces the full check.
 """
 
 from __future__ import annotations

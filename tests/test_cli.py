@@ -602,3 +602,53 @@ class TestScenarioJsonOutputs:
         )
         assert exit_code == 2
         assert "table-decode limit" in capsys.readouterr().err
+
+
+#: One failing invocation per subcommand; ``{tmp}`` is the test's tmp_path.
+#: Each fails inside the library with a ReproError, which the CLI must turn
+#: into exit code 2 and a single stderr line instead of a traceback.
+FAILING_INVOCATIONS = {
+    "solve": ["solve", "--profile", "{tmp}/bad_profile.json"],
+    "verify": ["verify", "--profile", "{tmp}/bad_profile.json", "--columns", "3,5"],
+    "simulate-profile": [
+        "simulate-profile", "--data-bits", "0", "--output", "{tmp}/p.json",
+    ],
+    "einsim": ["einsim", "--num-words", "0"],
+    "beep": ["beep", "--error-positions", "999"],
+    "scenario": ["scenario", "run", "--scenario", "no-such-scenario"],
+    "store": ["store", "stat", "{tmp}"],
+    "trace": ["trace", "summary", "{tmp}/bad_trace.jsonl"],
+    "bench": ["bench", "run", "--workload", "no-such-workload"],
+    "lint": ["lint", "{tmp}/no-such-path"],
+}
+
+
+class TestErrorBoundary:
+    def test_every_subcommand_is_covered(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        assert set(FAILING_INVOCATIONS) == set(subparsers.choices)
+
+    @pytest.mark.parametrize("command", sorted(FAILING_INVOCATIONS))
+    def test_library_error_exits_2_with_one_line(self, command, tmp_path, capsys):
+        (tmp_path / "bad_profile.json").write_text('{"bogus": 1}')
+        (tmp_path / "bad_trace.jsonl").write_text("not json\n")
+        argv = [arg.format(tmp=tmp_path) for arg in FAILING_INVOCATIONS[command]]
+        assert main(argv) == 2
+        # `lint` reports its own usage errors on stdout; everything else
+        # reaches the boundary in main().  Either way: one line, no trace.
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert "Traceback" not in output
+        assert len(output.strip().splitlines()) == 1, output
+        if command != "lint":
+            assert captured.err.startswith("beer-tool: error: ")
+
+    def test_store_verify_keeps_exit_1_for_store_problems(self, tmp_path, capsys):
+        store = tmp_path / "camp"
+        store.mkdir()
+        (store / "records.jsonl").write_text("garbage\n")
+        assert main(["store", "verify", str(store)]) == 1
+        assert "problem" in capsys.readouterr().out

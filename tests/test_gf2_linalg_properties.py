@@ -91,20 +91,21 @@ class TestLinalgInvariants:
 
     def test_inconsistent_systems_raise(self, implementation, seed, rows, cols, density):
         _, rank_fn, _, solve_fn = IMPLEMENTATIONS[implementation]
-        matrix = _matrix(seed, rows, cols, density)
-        rank = rank_fn(matrix)
-        if rank >= rows:
-            pytest.skip("full row rank: every rhs is consistent")
-        # A rhs outside the column space must be rejected.  Appending the rhs
-        # as an extra column raises the rank exactly when it is inconsistent.
+        base = _matrix(seed, rows, cols, density).to_numpy()
         rng = np.random.default_rng(seed + 20_000)
-        for _ in range(20):
-            rhs = GF2Vector(rng.integers(0, 2, size=rows))
-            augmented = GF2Matrix(
-                np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
-            )
-            if rank_fn(augmented) > rank:
-                with pytest.raises(SingularMatrixError):
-                    solve_fn(matrix, rhs)
-                return
-        pytest.skip("no inconsistent rhs found in 20 draws")
+        # Append the XOR of a random nonempty subset of rows: the system is
+        # now rank-deficient, and a rhs whose new entry breaks the same XOR
+        # relation lies outside the column space.
+        subset = rng.integers(0, 2, size=rows).astype(bool)
+        subset[rng.integers(0, rows)] = True
+        matrix = GF2Matrix(np.vstack([base, np.bitwise_xor.reduce(base[subset])]))
+        values = rng.integers(0, 2, size=rows)
+        rhs = GF2Vector(np.append(values, (values[subset].sum() + 1) % 2))
+        rank = rank_fn(matrix)
+        assert rank <= rows
+        augmented = GF2Matrix(
+            np.hstack([matrix.to_numpy(), rhs.to_numpy().reshape(-1, 1)])
+        )
+        assert rank_fn(augmented) == rank + 1
+        with pytest.raises(SingularMatrixError):
+            solve_fn(matrix, rhs)
