@@ -1,4 +1,4 @@
-"""Benchmark: reference vs packed bulk decode (corrected words + DUE masks) for every registered code family.
+"""Benchmark: reference vs fast bulk decode (corrected words + DUE masks) for every registered code family.
 
 Thin declaration over the unified harness — parameters, tiers, conditions,
 metrics and oracles are defined by the ``decoder-families`` workload in

@@ -1,4 +1,4 @@
-"""Benchmark: fused Monte-Carlo decode pipeline vs reference and packed simulation.
+"""Benchmark: fast backend's fused Monte-Carlo rounds vs the staged reference simulation.
 
 Thin declaration over the unified harness — parameters, tiers, conditions,
 metrics and oracles are defined by the ``decoder-fused`` workload in

@@ -1,4 +1,4 @@
-"""Benchmark: GF(2) linear-algebra backends: reference vs packed bulk decode and solver-input construction, with bit-identity oracles.
+"""Benchmark: GF(2) linear-algebra backends: reference vs fast bulk decode and solver-input construction, with bit-identity oracles.
 
 Thin declaration over the unified harness — parameters, tiers, conditions,
 metrics and oracles are defined by the ``gf2-backends`` workload in

@@ -1,6 +1,6 @@
 """Declarative fault-scenario sweep with a persistent, resumable store.
 
-Expands a sweep spec — error mechanisms × BERs × code sizes × backends — into
+Expands a sweep spec — error mechanisms × BERs × code sizes — into
 a deterministic experiment matrix, runs it through the chunked Monte-Carlo
 campaign machinery, and persists every cell in a content-addressed campaign
 store.  Running the script a second time serves the whole matrix from cache;
@@ -23,7 +23,6 @@ SWEEP = {
     "num_words": 20_000,
     "chunk_size": 4096,
     "seeds": [0],
-    "backends": ["packed"],
     "codes": [{"data_bits": 16}, {"data_bits": 32, "code_seed": 7}],
     "scenarios": [
         # The paper's core mechanisms ...

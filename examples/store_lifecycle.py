@@ -29,7 +29,6 @@ SWEEP = {
     "num_words": 5_000,
     "chunk_size": 2048,
     "seeds": [0, 1],
-    "backends": ["packed"],
     "codes": [{"data_bits": 16}, {"data_bits": 32}],
     "scenarios": [
         {"name": "uniform-random", "params": {"bit_error_rate": [1e-3, 1e-2]}},

@@ -24,7 +24,6 @@ SWEEP = {
     "num_words": 20_000,
     "chunk_size": 4096,
     "seeds": [0, 1],
-    "backends": ["packed"],
     "codes": [{"data_bits": 16}],
     "scenarios": [
         {"name": "uniform-random", "params": {"bit_error_rate": [1e-3, 1e-2]}},

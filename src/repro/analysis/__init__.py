@@ -17,11 +17,6 @@ from repro.analysis.figures import (
     table1_outcome_data,
     table2_miscorrection_profile_data,
 )
-from repro.analysis.backends import (
-    bulk_decode_comparison_data,
-    gf2_backend_comparison_data,
-    solver_input_comparison_data,
-)
 from repro.analysis.campaigns import campaign_report_data, load_simulation_results
 from repro.analysis.runtime import ExperimentRuntimeModel
 from repro.analysis.secondary_ecc import SecondaryEccDesigner, SecondaryEccPlan
@@ -36,9 +31,6 @@ __all__ = [
     "figure9_beep_probability_data",
     "table1_outcome_data",
     "table2_miscorrection_profile_data",
-    "bulk_decode_comparison_data",
-    "gf2_backend_comparison_data",
-    "solver_input_comparison_data",
     "ExperimentRuntimeModel",
     "SecondaryEccDesigner",
     "SecondaryEccPlan",

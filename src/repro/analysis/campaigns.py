@@ -25,7 +25,7 @@ def load_simulation_results(
 
     Returns ``(config, SimulationResult)`` pairs in store order; filters are
     equality constraints on top-level config fields (e.g.
-    ``scenario="burst"``, ``backend="packed"``).  Filtering happens against
+    ``scenario="burst"``, ``seed=0``).  Filtering happens against
     the store's index, so on a sharded store only the *matching* records'
     payloads are ever deserialised.
     """

@@ -1,20 +1,16 @@
-"""Workload: bulk decode across code families, reference vs packed backends.
+"""Workload: bulk decode across code families, reference vs fast backends.
 
-Port of the PR 5 ``bench_decoder.py`` writer.  For every family the packed
-fast path must return corrected words and DUE masks bit-identical to the
-reference oracle; detection-capable families must actually exercise the DUE
-path.  The legacy ``BENCH_decoder_families.json`` is re-emitted from the
-record.
+For every family the fast (bit-packed) kernels must return corrected words
+and DUE masks bit-identical to the reference oracle; detection-capable
+families must actually exercise the DUE path.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_decoder_families
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -60,19 +56,19 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
         )
         timings = {}
         outputs = {}
-        for backend in ("reference", "packed"):
+        for backend in ("reference", "fast"):
             timings[backend] = context.control.measure(
                 lambda b=backend, c=code, r=received: bulk_decode_outcomes(c, r, b)
             )
             outputs[backend] = timings[backend].last_result
         ref_corrected, ref_due = outputs["reference"]
-        packed_corrected, packed_due = outputs["packed"]
+        fast_corrected, fast_due = outputs["fast"]
         identical = bool(
-            np.array_equal(ref_corrected, packed_corrected)
-            and np.array_equal(ref_due, packed_due)
+            np.array_equal(ref_corrected, fast_corrected)
+            and np.array_equal(ref_due, fast_due)
         )
         speedup = timings["reference"].best_seconds / max(
-            timings["packed"].best_seconds, 1e-12
+            timings["fast"].best_seconds, 1e-12
         )
         result.artifacts["families"].append(
             {
@@ -100,9 +96,9 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
             ORACLE_SKIPPED if family_floor is None else speedup >= family_floor
         )
         result.add(
-            f"{label}:packed",
+            f"{label}:fast",
             metrics={
-                "seconds": timings["packed"].best_seconds,
+                "seconds": timings["fast"].best_seconds,
                 "speedup": speedup,
                 "due_words": int(ref_due.sum()),
             },
@@ -121,7 +117,7 @@ def _exact(metric: str):
 register_workload(
     name="decoder-families",
     description=(
-        "reference vs packed bulk_decode_outcomes (corrected words + DUE "
+        "reference vs fast bulk_decode_outcomes (corrected words + DUE "
         "masks) for every registered code family"
     ),
     tiers={
@@ -135,13 +131,10 @@ register_workload(
         *_exact("due_words"),
         MetricGate(
             metric="speedup",
-            condition="sec-hamming:packed",
+            condition="sec-hamming:fast",
             rel_tol=0.6,
             higher_is_better=True,
         ),
-    ),
-    legacy=LegacySpec(
-        filename="BENCH_decoder_families.json", emitter=emit_decoder_families
     ),
     tags=("core", "perf"),
 )

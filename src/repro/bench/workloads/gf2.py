@@ -1,80 +1,113 @@
-"""Workload: GF(2) backend comparison (reference vs packed kernels).
+"""Workload: GF(2) backend comparison (reference vs fast kernels).
 
-Port of the PR 1 ``bench_gf2_backends.py`` writer: the 10k-word (136, 128)
-bulk-decode acceptance microbenchmark plus fig6-style solver-input
-generation, decomposed into merged-schema conditions.  The legacy
-``BENCH_gf2_backends.json`` is re-emitted from the record.
+The 10k-word (136, 128) bulk-decode acceptance microbenchmark plus
+fig6-style solver-input generation (the Monte-Carlo miscorrection profiles
+the BEER solver consumes, measured through the chunked campaign runner),
+decomposed into merged-schema conditions.  Every timed pair is also checked for bit-exact
+output equality, so the numbers can never drift apart from correctness.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_gf2_backends
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
 )
 from repro.bench.schema import ORACLE_SKIPPED
 
+#: The simulation backends each condition pair compares.
+_BACKENDS = ("reference", "fast")
+
 
 def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
-    from repro.analysis import gf2_backend_comparison_data
+    import numpy as np
 
-    data = gf2_backend_comparison_data(
-        num_words=params["num_words"],
-        num_data_bits=params["num_data_bits"],
-        dataword_lengths=tuple(params["dataword_lengths"]),
-        words_per_pattern=params["words_per_pattern"],
-        repeats=params["repeats"],
-        seed=params["seed"],
-    )
+    from repro.core import MonteCarloCampaign, charged_patterns
+    from repro.ecc import random_hamming_code
+    from repro.einsim.engine import bulk_decode
+
     floor = params["speedup_floor"]
+    seed = params["seed"]
     result = WorkloadResult()
 
-    micro = data["bulk_decode"]
+    rng = np.random.default_rng(seed)
+    code = random_hamming_code(params["num_data_bits"], rng=rng)
+    received = rng.integers(
+        0, 2, size=(params["num_words"], code.codeword_length)
+    ).astype(np.uint8)
+    timings = {
+        backend: context.control.measure(
+            lambda b=backend: bulk_decode(code, received, b)
+        )
+        for backend in _BACKENDS
+    }
+    speedup = timings["reference"].best_seconds / max(
+        timings["fast"].best_seconds, 1e-12
+    )
     result.artifacts["bulk_decode"] = {
-        "codeword_length": micro["codeword_length"],
-        "num_data_bits": micro["num_data_bits"],
-        "num_words": micro["num_words"],
-        "repeats": micro["repeats"],
+        "codeword_length": code.codeword_length,
+        "num_data_bits": code.num_data_bits,
+        "num_words": params["num_words"],
+        "repeats": timings["fast"].runs,
     }
     result.add(
-        "bulk-decode:reference", metrics={"seconds": micro["reference_seconds"]}
+        "bulk-decode:reference",
+        metrics={"seconds": timings["reference"].best_seconds},
     )
     result.add(
-        "bulk-decode:packed",
-        metrics={"seconds": micro["packed_seconds"], "speedup": micro["speedup"]},
+        "bulk-decode:fast",
+        metrics={"seconds": timings["fast"].best_seconds, "speedup": speedup},
         oracles={
-            "outputs_identical": bool(micro["outputs_identical"]),
-            "speedup_floor": (
-                ORACLE_SKIPPED if floor is None else micro["speedup"] >= floor
+            "outputs_identical": bool(
+                np.array_equal(
+                    timings["reference"].last_result, timings["fast"].last_result
+                )
             ),
+            "speedup_floor": ORACLE_SKIPPED if floor is None else speedup >= floor,
         },
     )
 
+    words_per_pattern = params["words_per_pattern"]
     result.artifacts["solver_input"] = []
-    for row in data["solver_input"]["rows"]:
-        length = row["dataword_length"]
+    for length in params["dataword_lengths"]:
+        code = random_hamming_code(length, rng=np.random.default_rng(seed + length))
+        # The first 60 {1,2}-CHARGED patterns at a 0.5 bit error rate.
+        patterns = list(charged_patterns(length, [1, 2]))[:60]
+        timings = {
+            backend: context.control.measure(
+                lambda b=backend, c=code, p=patterns: MonteCarloCampaign(
+                    c, chunk_size=words_per_pattern, backend=b, base_seed=seed
+                ).miscorrection_profile(p, 0.5, words_per_pattern)
+            )
+            for backend in _BACKENDS
+        }
         result.artifacts["solver_input"].append(
             {
                 "dataword_length": length,
-                "codeword_length": row["codeword_length"],
-                "num_patterns": row["num_patterns"],
-                "words_per_pattern": row["words_per_pattern"],
+                "codeword_length": code.codeword_length,
+                "num_patterns": len(patterns),
+                "words_per_pattern": words_per_pattern,
             }
         )
         result.add(
             f"solver-input-k{length}:reference",
-            metrics={"seconds": row["reference_seconds"]},
+            metrics={"seconds": timings["reference"].best_seconds},
         )
         result.add(
-            f"solver-input-k{length}:packed",
-            metrics={"seconds": row["packed_seconds"], "speedup": row["speedup"]},
-            oracles={"profiles_identical": bool(row["profiles_identical"])},
+            f"solver-input-k{length}:fast",
+            metrics={
+                "seconds": timings["fast"].best_seconds,
+                "speedup": timings["reference"].best_seconds
+                / max(timings["fast"].best_seconds, 1e-12),
+            },
+            oracles={
+                "profiles_identical": timings["reference"].last_result
+                == timings["fast"].last_result
+            },
         )
     return result
 
@@ -82,7 +115,7 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
 register_workload(
     name="gf2-backends",
     description=(
-        "reference vs bit-packed GF(2) kernels: bulk-decode microbenchmark "
+        "reference vs fast GF(2) kernels: bulk-decode microbenchmark "
         "and fig6-style solver-input generation"
     ),
     tiers={
@@ -91,7 +124,6 @@ register_workload(
             num_data_bits=32,
             dataword_lengths=(8,),
             words_per_pattern=100,
-            repeats=1,
             seed=0,
             speedup_floor=None,
         ),
@@ -100,7 +132,6 @@ register_workload(
             num_data_bits=128,
             dataword_lengths=(8,),
             words_per_pattern=200,
-            repeats=3,
             seed=0,
             speedup_floor=1.0,
         ),
@@ -109,7 +140,6 @@ register_workload(
             num_data_bits=128,
             dataword_lengths=(8, 16, 32),
             words_per_pattern=2_000,
-            repeats=5,
             seed=0,
             speedup_floor=5.0,
         ),
@@ -118,11 +148,10 @@ register_workload(
     gates=(
         MetricGate(
             metric="speedup",
-            condition="bulk-decode:packed",
+            condition="bulk-decode:fast",
             rel_tol=0.6,
             higher_is_better=True,
         ),
     ),
-    legacy=LegacySpec(filename="BENCH_gf2_backends.json", emitter=emit_gf2_backends),
     tags=("core", "perf"),
 )

@@ -3,18 +3,15 @@
 Port of the PR 3 ``bench_sat.py`` writer.  Both solver paths must enumerate
 identical canonical code sets; the model/solution counts are deterministic
 for a fixed seed, so the comparator pins them exactly, while the incremental
-speedup is gated with a tolerance.  The legacy ``BENCH_sat_solver.json`` is
-re-emitted from the record.
+speedup is gated with a tolerance.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bench.legacy import emit_sat_solver
 from repro.bench.registry import (
     BenchContext,
-    LegacySpec,
     MetricGate,
     WorkloadResult,
     register_workload,
@@ -137,6 +134,5 @@ register_workload(
         *_exact("canonical_codes"),
         MetricGate(metric="speedup", rel_tol=0.6, higher_is_better=True),
     ),
-    legacy=LegacySpec(filename="BENCH_sat_solver.json", emitter=emit_sat_solver),
     tags=("core", "perf"),
 )

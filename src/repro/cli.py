@@ -8,7 +8,7 @@ This module provides the same workflow as a console script::
     beer-tool solve --profile profile.json [--backend fast|sat] [--max-solutions N]
     beer-tool verify --profile profile.json --columns 7,11,19,...
     beer-tool beep --data-bits 16 --error-positions 2,9 [--passes 2]
-    beer-tool einsim --data-bits 32 --num-words 100000 --backend packed
+    beer-tool einsim --data-bits 32 --num-words 100000 --backend fast
 
 The ``scenario`` command group drives the declarative fault-scenario
 subsystem (:mod:`repro.scenarios`) with its persistent, content-addressed
@@ -19,10 +19,12 @@ campaign store (:mod:`repro.store`)::
     beer-tool scenario sweep --spec sweep.json --store campaign/ [--resume] [--jobs N]
     beer-tool scenario report --store campaign/
 
-Simulation-heavy commands (``einsim``, ``simulate-profile``, ``scenario``)
-accept ``--backend {reference,packed,fused,auto}`` selecting the GF(2)
-kernel implementation; every backend produces bit-identical output for the
-same seed, the packed and fused ones are simply faster.  ``solve``, ``simulate-profile``,
+The simulation commands ``einsim`` and ``simulate-profile`` accept
+``--backend {reference,fast,auto}``: ``fast`` (also named ``auto``, the
+default) runs bit-packed kernels and fused Monte-Carlo rounds, ``reference``
+the staged uint8 oracle; both produce bit-identical output for the same
+seed.  Scenario cells always run on the fast backend, which is therefore not
+part of a cell's content-addressed store key.  ``solve``, ``simulate-profile``,
 ``einsim``, ``beep`` and ``scenario run`` accept ``--code-family`` choosing
 the ECC code family (:mod:`repro.ecc.family`): SEC Hamming (default),
 SEC-DED extended Hamming, parity-detect, or repetition.  Result-producing
@@ -70,11 +72,19 @@ from repro.core import (
     SatBeerSolver,
 )
 from repro.core.beep import BeepProfiler, SimulatedWordUnderTest
+from repro.einsim.engine import BACKENDS
 
 
 #: Retention model used by ``simulate-profile`` so simulated campaigns finish
 #: in seconds rather than the paper's hours of real refresh pauses.
 _FAST_RETENTION = DataRetentionModel(RetentionCalibration(1.0, 0.02, 60.0, 0.5))
+
+_SIMULATION_BACKENDS = BACKENDS + ("auto",)
+_BACKEND_HELP = (
+    "simulation backend: fast (bit-packed kernels and fused Monte-Carlo "
+    "rounds; auto names it) or reference (the staged uint8 oracle); both "
+    "give bit-identical output"
+)
 
 
 def _add_trace_argument(parser) -> None:
@@ -132,10 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(must have a searchable design space)")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--rounds", type=int, default=8)
-    simulate.add_argument("--backend",
-                          choices=("reference", "packed", "fused", "auto"),
-                          default="reference",
-                          help="GF(2) kernel backend for the simulated chip's on-die ECC")
+    simulate.add_argument("--backend", choices=_SIMULATION_BACKENDS, default="auto",
+                          help=_BACKEND_HELP)
     simulate.add_argument("--output", required=True, help="where to write the profile JSON")
     simulate.add_argument("--json", action="store_true",
                           help="print a machine-readable JSON document instead of text")
@@ -152,10 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     einsim.add_argument("--ber", type=float, default=1e-3,
                         help="uniform-random pre-correction bit error rate")
     einsim.add_argument("--seed", type=int, default=0)
-    einsim.add_argument("--backend",
-                        choices=("reference", "packed", "fused", "auto"),
-                        default="reference",
-                        help="GF(2) kernel backend for encode/decode")
+    einsim.add_argument("--backend", choices=_SIMULATION_BACKENDS, default="auto",
+                        help=_BACKEND_HELP)
     einsim.add_argument("--chunk-size", type=int, default=65536,
                         help="ECC words simulated per batch")
     einsim.add_argument("--processes", type=int, default=1,
@@ -228,9 +234,6 @@ def _add_scenario_parser(subparsers) -> None:
                      help="dataword pattern: ones, zeros or alternating")
     run.add_argument("--num-words", type=int, default=10_000)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--backend",
-                     choices=("reference", "packed", "fused", "auto"),
-                     default="packed")
     run.add_argument("--chunk-size", type=int, default=65536)
     run.add_argument("--processes", type=int, default=1)
     run.add_argument("--jobs", type=int, default=1,
@@ -804,7 +807,6 @@ def _run_scenario_run(args) -> int:
         code=code_spec,
         num_words=args.num_words,
         seed=args.seed,
-        backend=args.backend,
         dataword=args.dataword,
         chunk_size=args.chunk_size,
     )

@@ -275,12 +275,12 @@ def _run_fused_chunks(jobs) -> List[SimulationResult]:
 
     Each chunk's packed error masks are drawn from that chunk's own RNG
     stream — the same blocks, in the same order, as
-    ``EinsimSimulator(backend="fused")`` would draw — but classification is
+    ``EinsimSimulator(backend="fast")`` would draw — but classification is
     deferred: compatible mask batches accumulate until
     :data:`_FUSED_FLUSH_WORDS` words are buffered, then one segmented kernel
     call classifies them all.  Classification is deterministic, so the
     per-chunk results are bit-identical to running every chunk separately
-    (and hence to the staged backends).
+    (and hence to the staged reference loop).
     """
     from repro.gf2 import GF2Vector
     from repro.einsim.engine import bulk_encode
@@ -325,7 +325,7 @@ def _run_fused_chunks(jobs) -> List[SimulationResult]:
         datawords.append(bits)
         codeword = codeword_cache.get(dataword_value)
         if codeword is None:
-            codeword = bulk_encode(code, bits.reshape(1, -1), "fused")[0]
+            codeword = bulk_encode(code, bits.reshape(1, -1), "fast")[0]
             codeword_cache[dataword_value] = codeword
         rng = np.random.default_rng([base_seed, dataword_value, chunk_index])
         remaining = chunk_words
@@ -363,9 +363,9 @@ class MonteCarloCampaign:
     with its own deterministic seed (derived from ``base_seed`` and the chunk
     index) and merges the per-chunk :class:`SimulationResult` objects.  For a
     fixed ``chunk_size`` the result is bit-identical regardless of the number
-    of worker processes, and identical across the ``reference``, ``packed``
-    and ``fused`` backends (the fused in-process runner additionally batches
-    classification across chunks — see :func:`_run_fused_chunks`).
+    of worker processes, and identical across the ``reference`` and ``fast``
+    backends (the fast in-process runner additionally batches classification
+    across chunks — see :func:`_run_fused_chunks`).
 
     Parameters
     ----------
@@ -378,8 +378,8 @@ class MonteCarloCampaign:
         ``1`` runs every chunk inline; larger values distribute the chunks
         over a :class:`~concurrent.futures.ProcessPoolExecutor`.
     backend:
-        GF(2) kernel backend: ``"reference"``, ``"packed"``, ``"fused"`` or
-        ``"auto"``.
+        Simulation backend: ``"reference"`` (the staged oracle) or
+        ``"fast"``; ``"auto"``, the default, names ``"fast"``.
     base_seed:
         Root seed for the per-chunk RNG streams.
     """
@@ -389,7 +389,7 @@ class MonteCarloCampaign:
         code: SystematicLinearCode,
         chunk_size: int = 65536,
         processes: int = 1,
-        backend: str = "reference",
+        backend: str = "auto",
         base_seed: int = 0,
     ):
         if chunk_size < 1:
@@ -409,7 +409,7 @@ class MonteCarloCampaign:
 
     @property
     def backend(self) -> str:
-        """The GF(2) kernel backend in use."""
+        """The simulation backend in use (``"reference"`` or ``"fast"``)."""
         return self._backend
 
     def simulate(self, dataword, injector, num_words: int) -> SimulationResult:
@@ -458,7 +458,7 @@ class MonteCarloCampaign:
             boundaries.append((start, len(jobs)))
 
         if self._processes == 1 or len(jobs) == 1:
-            if self._backend == "fused":
+            if self._backend == "fast":
                 # Same per-chunk RNG streams, but masks from many chunks are
                 # classified together in segmented kernel calls.
                 chunk_results = _run_fused_chunks(jobs)

@@ -94,7 +94,7 @@ def monte_carlo_miscorrection_profile(
     words_per_pattern: int,
     cell_type: CellType = CellType.TRUE_CELL,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "reference",
+    backend: str = "auto",
 ) -> "MiscorrectionProfile":
     """Measure a miscorrection profile by Monte-Carlo simulation (EINSim-style).
 
@@ -129,7 +129,7 @@ def monte_carlo_observation_counts(
     words_per_pattern: int,
     cell_type: CellType = CellType.TRUE_CELL,
     rng: Optional[np.random.Generator] = None,
-    backend: str = "reference",
+    backend: str = "auto",
 ) -> "MiscorrectionCounts":
     """Measure raw observation counts — miscorrections *and* DUEs — per pattern.
 
@@ -141,6 +141,7 @@ def monte_carlo_observation_counts(
     threshold-filtered miscorrection profile BEER consumes.
     """
     from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
+    from repro.einsim.fused import PackedErrorBatch, get_kernel
 
     backend = resolve_backend(backend)
     if words_per_pattern < 1:
@@ -150,95 +151,39 @@ def monte_carlo_observation_counts(
     generator = rng if rng is not None else np.random.default_rng(0)
     charged_value = 1 if cell_type is CellType.TRUE_CELL else 0
 
-    if backend == "fused":
-        return _fused_observation_counts(
-            code,
-            list(patterns),
-            bit_error_rate,
-            words_per_pattern,
-            cell_type,
-            generator,
-            charged_value,
-        )
-
     counts = MiscorrectionCounts(code.num_data_bits)
+    kernel = get_kernel(code) if backend == "fast" else None
+    data_positions = np.arange(code.num_data_bits)
+    # One pattern per draw on both backends: the RNG block (and the peak
+    # memory) is one (words_per_pattern, n) float array, and both backends
+    # consume the generator identically.
     for pattern in patterns:
         dataword = pattern.dataword(cell_type)
         codeword = bulk_encode(code, dataword.to_numpy().reshape(1, -1), backend)[0]
-        stored = np.tile(codeword, (words_per_pattern, 1))
-        charged_cells = stored == charged_value
-        failures = charged_cells & (generator.random(stored.shape) < bit_error_rate)
-        received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
-        corrected, due = bulk_decode_outcomes(code, received, backend)
-        data_errors = corrected[:, : code.num_data_bits] != stored[:, : code.num_data_bits]
+        charged_cells = codeword == charged_value
+        failures = charged_cells & (
+            generator.random((words_per_pattern, code.codeword_length))
+            < bit_error_rate
+        )
+        if kernel is not None:
+            stats = kernel.classify(PackedErrorBatch.from_bool_mask(failures))
+            observed = np.repeat(data_positions, stats.post_correction_error_counts)
+            due_words = stats.detected_words
+        else:
+            stored = np.tile(codeword, (words_per_pattern, 1))
+            received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
+            corrected, due = bulk_decode_outcomes(code, received, backend)
+            data_errors = (
+                corrected[:, : code.num_data_bits] != stored[:, : code.num_data_bits]
+            )
+            observed = np.nonzero(data_errors)[1]
+            due_words = int(due.sum())
         counts.record_observations(
             pattern,
-            [int(bit) for bit in np.nonzero(data_errors)[1]],
+            [int(bit) for bit in observed],
             words_observed=words_per_pattern,
-            due_words=int(due.sum()),
+            due_words=due_words,
         )
-    return counts
-
-
-#: Element cap (patterns x words x codeword bits) on one fused profile group:
-#: the single RNG block drawn per group stays comfortably inside cache-friendly
-#: territory while still batching the whole pattern schedule for typical sizes.
-_FUSED_GROUP_ELEMENTS = 1 << 24
-
-
-def _fused_observation_counts(
-    code: SystematicLinearCode,
-    patterns: List[ChargedPattern],
-    bit_error_rate: float,
-    words_per_pattern: int,
-    cell_type: CellType,
-    generator: np.random.Generator,
-    charged_value: int,
-) -> "MiscorrectionCounts":
-    """Fused-backend profile measurement: one kernel call per pattern *group*.
-
-    Instead of tiling, injecting and decoding each pattern separately, this
-    groups as many patterns as fit under :data:`_FUSED_GROUP_ELEMENTS`, draws
-    one RNG block for the whole group and classifies every pattern as a
-    segment of one packed batch.  Because the RNG stream fills row-major, one
-    ``(g*m, n)`` draw yields exactly the values ``g`` consecutive ``(m, n)``
-    draws would have — the observation counts are bit-identical to the staged
-    backends for the same generator state.
-    """
-    from repro.einsim.engine import bulk_encode
-    from repro.einsim.fused import PackedErrorBatch, get_kernel
-
-    kernel = get_kernel(code)
-    num_bits = code.codeword_length
-    num_data_bits = code.num_data_bits
-    counts = MiscorrectionCounts(num_data_bits)
-    per_pattern_elements = max(words_per_pattern * num_bits, 1)
-    group_size = max(1, _FUSED_GROUP_ELEMENTS // per_pattern_elements)
-    data_positions = np.arange(num_data_bits)
-    for start in range(0, len(patterns), group_size):
-        group = patterns[start : start + group_size]
-        datawords = np.vstack(
-            [pattern.dataword(cell_type).to_numpy() for pattern in group]
-        )
-        codewords = bulk_encode(code, datawords, "fused")
-        charged_rows = codewords == charged_value
-        mask = generator.random((len(group) * words_per_pattern, num_bits))
-        mask = mask < bit_error_rate
-        mask &= np.repeat(charged_rows, words_per_pattern, axis=0)
-        batch = PackedErrorBatch.from_bool_mask(mask)
-        segment_stats = kernel.classify_segments(
-            batch, [words_per_pattern] * len(group)
-        )
-        for pattern, stats in zip(group, segment_stats):
-            positions = np.repeat(
-                data_positions, stats.post_correction_error_counts
-            )
-            counts.record_observations(
-                pattern,
-                [int(bit) for bit in positions],
-                words_observed=words_per_pattern,
-                due_words=stats.detected_words,
-            )
     return counts
 
 

@@ -8,8 +8,8 @@ machinery in Python:
   bit errors, data-retention errors restricted to CHARGED cells, fixed error
   counts, arbitrary per-bit probabilities);
 * :mod:`repro.einsim.engine` — batched encode/syndrome/decode kernels with
-  selectable GF(2) backends (``reference`` uint8 oracle, ``packed`` uint64
-  bit-packed fast path, ``fused`` whole-round pipeline);
+  two selectable backends (``reference`` uint8 oracle, ``fast`` uint64
+  bit-packed kernels and fused whole-round pipeline);
 * :mod:`repro.einsim.fused` — the fused Monte-Carlo pipeline: packed error
   batches, per-code classification kernels, segmented cross-pattern calls;
 * :mod:`repro.einsim.simulator` — vectorised simulation of large numbers of

@@ -6,20 +6,20 @@ backends implement each kernel:
 * ``"reference"`` — the original one-bit-per-``uint8`` arithmetic (integer
   matmuls mod 2).  Simple, slow, and the oracle the differential test suite
   measures everything against.
-* ``"packed"`` — words bit-packed with :mod:`repro.gf2.bitpack` machinery:
+* ``"fast"`` — words bit-packed with :mod:`repro.gf2.bitpack` machinery:
   each batch is packed eight columns per byte and folded through cached
   per-byte XOR tables (:func:`repro.gf2.bitpack.byte_fold_table`), turning
   the per-word syndrome into a handful of table lookups; an order of
   magnitude faster than the reference on realistic code sizes.  Codes with
   one or two parity bits skip the fold tables for a direct AND/XOR-parity
-  reduction, which is faster at that scale.
-* ``"fused"`` — identical to ``"packed"`` for the staged kernels in this
-  module; at the simulation level it additionally routes whole Monte-Carlo
-  rounds through :mod:`repro.einsim.fused`, which classifies packed error
-  masks without ever materializing codeword batches.
+  reduction, which is faster at that scale.  At the simulation level the
+  fast backend also routes whole Monte-Carlo rounds through
+  :mod:`repro.einsim.fused`, which classifies packed error masks without
+  ever materializing codeword batches.
 
-All backends are bit-exact: for any code, any batch and any input, they
-return identical arrays (``tests/test_differential_backends.py``,
+``"auto"`` names the fast backend and is the default of every ``backend=``
+selector.  Both backends are bit-exact: for any code, any batch and any
+input, they return identical arrays (``tests/test_differential_backends.py``,
 ``tests/test_differential_families.py`` and
 ``tests/test_differential_fused.py`` enforce this).  Per-code artefacts
 (syndrome lookup table, decode-action table, transposed ``H``, packed rows)
@@ -45,19 +45,9 @@ from repro.gf2.bitpack import bytes_to_lanes, fold_bytes, popcount_u64
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 
-#: The valid values of every ``backend=`` selector in the library.
-#: ``"fused"`` shares the packed staged kernels below; its distinguishing
-#: behaviour — classifying whole Monte-Carlo rounds without materializing
-#: codeword batches — lives in :mod:`repro.einsim.fused` and engages at the
-#: simulation level (:class:`repro.einsim.simulator.EinsimSimulator`,
-#: :func:`repro.core.profile.monte_carlo_observation_counts`,
-#: :class:`repro.core.experiment.MonteCarloCampaign`).
-BACKENDS: Tuple[str, ...] = ("reference", "packed", "fused")
-
-#: Backend used when callers pass ``"auto"``.  Stays ``"packed"``: the fused
-#: path is opt-in so store keys, committed baselines and obs counters keep
-#: their historical meaning; every backend is bit-identical regardless.
-DEFAULT_BACKEND = "packed"
+#: The valid values of every ``backend=`` selector in the library, besides
+#: ``"auto"``, which always resolves to ``"fast"``.
+BACKENDS: Tuple[str, ...] = ("reference", "fast")
 
 #: Parity-bit count at or below which the packed syndrome kernel skips the
 #: byte-fold tables: with one or two check rows an AND + XOR-reduce per row
@@ -66,9 +56,9 @@ _TINY_SYNDROME_PARITY_BITS = 2
 
 
 def resolve_backend(backend: str) -> str:
-    """Validate a backend name, resolving ``"auto"`` to the fast path."""
+    """Validate a backend name, resolving ``"auto"`` to ``"fast"``."""
     if backend == "auto":
-        return DEFAULT_BACKEND
+        return "fast"
     if backend not in BACKENDS:
         raise ValidationError(
             f"unknown backend {backend!r}; expected one of {BACKENDS + ('auto',)}"
@@ -88,7 +78,7 @@ def _validate_batch(
 
 
 def bulk_encode(
-    code: SystematicLinearCode, datawords: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, datawords: np.ndarray, backend: str = "auto"
 ) -> np.ndarray:
     """Encode a batch of datawords (rows) into codewords ``[d | p]``."""
     backend = resolve_backend(backend)
@@ -107,7 +97,7 @@ def bulk_encode(
 
 
 def bulk_syndrome_values(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "auto"
 ) -> np.ndarray:
     """Return the integer syndrome of every received codeword (row)."""
     backend = resolve_backend(backend)
@@ -135,7 +125,7 @@ def bulk_syndrome_values(
 
 
 def bulk_decode(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "auto"
 ) -> np.ndarray:
     """Syndrome-decode a batch of codewords (rows of ``received``) at once.
 
@@ -148,7 +138,7 @@ def bulk_decode(
 
 
 def bulk_decode_outcomes(
-    code: SystematicLinearCode, received: np.ndarray, backend: str = "reference"
+    code: SystematicLinearCode, received: np.ndarray, backend: str = "auto"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a batch and also report the per-word DUE mask.
 

@@ -1,9 +1,9 @@
 """Fused Monte-Carlo decode pipeline over bit-packed ``uint64`` lanes.
 
-The staged backends (:mod:`repro.einsim.engine`) materialize every
+The staged kernels (:mod:`repro.einsim.engine`) materialize every
 intermediate of a Monte-Carlo round as a full ``(num_words, n)`` ``uint8``
-batch: tiled codewords, injected words, corrected words.  The fused backend
-never does.  It exploits two identities:
+batch: tiled codewords, injected words, corrected words.  The fast backend's
+fused rounds never do.  It exploits two identities:
 
 * every stored word of a round is the *same* codeword ``c`` with
   ``H·c = 0``, so the syndrome of a received word equals the syndrome of its
@@ -26,11 +26,10 @@ protocol (:mod:`repro.einsim.injectors`), in one of three representations:
 Injectors without the protocol fall back to the unpacked
 ``error_mask`` + pack (bit-identical, just slower).  Classification is
 segment-aware so one kernel call covers many patterns or campaign chunks
-(:func:`FusedKernel.classify_segments`), and the dense syndrome fold can run
-on the optional numba tier (:mod:`repro.gf2.native`) when present.
+(:func:`FusedKernel.classify_segments`).
 
-Every path consumes the RNG stream exactly as the reference backend does and
-produces bit-identical statistics (``tests/test_differential_fused.py``).
+Every path consumes the RNG stream exactly as the staged reference loop does
+and produces bit-identical statistics (``tests/test_differential_fused.py``).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.gf2.bitpack import (
     packed_column_counts,
     popcount_u64,
 )
-from repro.gf2.native import fold_classify_native, native_available
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
 
@@ -59,10 +57,6 @@ from repro.ecc.code import SystematicLinearCode
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
 #: back to the sparse representation.
 SUBSET_WIDTH_LIMIT = 16
-
-#: Smallest dense batch worth dispatching to the numba tier (compilation and
-#: call overhead dominate below this).
-_NATIVE_MIN_WORDS = 1024
 
 
 @dataclass
@@ -392,10 +386,10 @@ class FusedKernel:
         if TRACER.enabled:
             seconds = time.perf_counter() - start
             due_words = sum(stats.detected_words for stats in results)
-            TRACER.add("einsim.fused.batches")
-            TRACER.add("einsim.fused.words", batch.num_words)
-            TRACER.add("einsim.fused.due_words", due_words)
-            TRACER.add("einsim.fused.classify_s", seconds)
+            TRACER.add("einsim.decode_batches")
+            TRACER.add("einsim.words_decoded", batch.num_words)
+            TRACER.add("einsim.due_words", due_words)
+            TRACER.add("einsim.decode_s", seconds)
             TRACER.event(
                 "einsim.fused.classify",
                 {
@@ -480,8 +474,6 @@ class FusedKernel:
                 ) << row
             return syndromes, err_counts
         assert self._fold_table is not None
-        if native_available() and lanes.shape[0] >= _NATIVE_MIN_WORDS:
-            return fold_classify_native(mask_bytes, self._fold_table), err_counts
         return fold_bytes(self._fold_table, mask_bytes), err_counts
 
     def _aggregate_segments(

@@ -81,17 +81,18 @@ class SimulationResult:
 class EinsimSimulator:
     """Monte-Carlo ECC-word simulator for a fixed code.
 
-    ``backend`` selects the GF(2) kernels used for the batched decode:
-    ``"reference"`` (uint8 oracle), ``"packed"`` (uint64 bit-packed fast
-    path) or ``"auto"``.  Both produce bit-identical results for the same
-    seed.
+    ``backend`` selects how a round is simulated: ``"reference"`` runs the
+    staged tile → inject → decode loop on the uint8 oracle kernels, and
+    ``"fast"`` (or ``"auto"``, the default) runs fused rounds that classify
+    packed error masks directly.  Both produce bit-identical results for the
+    same seed.
     """
 
     def __init__(
         self,
         code: SystematicLinearCode,
         seed: Optional[int] = None,
-        backend: str = "reference",
+        backend: str = "auto",
     ):
         self._code = code
         self._rng = np.random.default_rng(seed)
@@ -104,7 +105,7 @@ class EinsimSimulator:
 
     @property
     def backend(self) -> str:
-        """The GF(2) kernel backend in use."""
+        """The simulation backend in use (``"reference"`` or ``"fast"``)."""
         return self._backend
 
     def simulate(
@@ -117,7 +118,7 @@ class EinsimSimulator:
         """Simulate ``num_words`` ECC words storing ``dataword`` with ``injector`` errors."""
         data_bits = _as_dataword(dataword, self._code.num_data_bits)
         codeword = bulk_encode(self._code, data_bits.reshape(1, -1), self._backend)[0]
-        if self._backend == "fused":
+        if self._backend == "fast":
             return self._simulate_fused(
                 data_bits, codeword, num_words, injector, batch_size
             )

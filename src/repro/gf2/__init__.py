@@ -9,7 +9,7 @@ The central type is :class:`~repro.gf2.matrix.GF2Matrix`, a thin wrapper
 around a ``numpy`` ``uint8`` array whose entries are always 0 or 1 and whose
 arithmetic is performed modulo 2.  :mod:`repro.gf2.bitpack` provides an
 equivalent bit-packed fast path (rows packed into ``uint64`` lanes with
-AND/XOR/popcount kernels) selected through the ``packed`` simulation backend;
+AND/XOR/popcount kernels) selected through the ``fast`` simulation backend;
 the uint8 implementation remains the reference oracle.
 """
 

@@ -22,7 +22,7 @@ The packed routines mirror the reference API bit for bit:
 * :func:`batched_syndrome_values` — a batched AND/popcount syndrome kernel
   over ``uint64`` lanes (general form of :meth:`PackedGF2Matrix.matvec`);
 * :func:`byte_fold_table` / :func:`fold_bytes` — cached per-byte XOR tables,
-  the kernel the ``packed`` simulation backend
+  the kernel the ``fast`` simulation backend
   (:mod:`repro.einsim.engine`) uses for batched syndromes and parity bits.
 
 Equivalence with the reference path is enforced by the differential test
@@ -247,7 +247,7 @@ def _rref_packed(packed: np.ndarray, num_cols: int) -> Tuple[np.ndarray, List[in
 class PackedGF2Matrix:
     """A GF(2) matrix stored as bit-packed ``uint64`` rows.
 
-    Supports exactly the operations the packed backend needs; conversion to
+    Supports exactly the operations the fast backend needs; conversion to
     and from the dense reference types is lossless.
     """
 
@@ -450,7 +450,7 @@ def packed_matmul(first, second) -> GF2Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Batched syndrome kernels (the packed simulation backend's hot loop).
+# Batched syndrome kernels (the fast simulation backend's hot loop).
 # ---------------------------------------------------------------------------
 def byte_fold_table(column_ints) -> np.ndarray:
     """Precompute per-byte partial syndromes for a set of integer columns.
@@ -505,7 +505,7 @@ def batched_syndrome_values(
     (shape ``(batch, lanes)``).  Row ``i`` of the result is the integer whose
     bit ``j`` (LSB first) is ``popcount(H_j & w_i) mod 2`` — identical to the
     reference ``(w @ H.T) % 2`` dotted with powers of two.  (The simulation
-    engine's packed backend uses the even faster :func:`fold_bytes` tables;
+    engine's fast backend uses the even faster :func:`fold_bytes` tables;
     this kernel is the lane-level alternative for ad-hoc packed operands.)
     """
     check = np.ascontiguousarray(np.asarray(packed_check_rows, dtype=np.uint64))

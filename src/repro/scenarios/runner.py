@@ -132,7 +132,6 @@ def _execute_einsim_cell(config: Dict[str, Any], processes: int) -> Dict[str, An
         code,
         chunk_size=config["chunk_size"],
         processes=processes,
-        backend=config["backend"],
         base_seed=config["seed"],
     )
     result = campaign.simulate(dataword, injector, config["num_words"])
@@ -173,7 +172,6 @@ def _execute_beer_cell(config: Dict[str, Any]) -> Dict[str, Any]:
         ),
         seed=config["seed"],
         retention_model=DataRetentionModel(FAST_RETENTION_CALIBRATION),
-        backend=config["backend"],
     )
     experiment_config = ExperimentConfig(
         pattern_weights=tuple(config["pattern_weights"]),

@@ -7,7 +7,6 @@ A sweep spec is a plain JSON/dict description of an experiment matrix::
       "num_words": 20000,
       "chunk_size": 4096,
       "seeds": [0, 1],
-      "backends": ["packed"],
       "codes": [{"data_bits": 16}, {"data_bits": 32, "code_seed": 7},
                 {"data_bits": 16, "code_family": "secded-extended-hamming"}],
       "datawords": ["ones"],
@@ -27,7 +26,11 @@ Expansion rules:
   itself a list (e.g. ``per-bit-bernoulli`` probabilities) must be wrapped in
   an extra list to denote a single grid point.
 * Axes expand in sorted key order via a cartesian product; scenarios, codes,
-  datawords, seeds and backends expand in the order given.
+  datawords and seeds expand in the order given.
+* ``backends`` is a retired field: older spec files may still carry it, and
+  it is accepted, but it multiplies no cells and enters no cell key.  Every
+  cell runs on the fast simulation backend, which is bit-identical to the
+  reference oracle, so the backend is not part of a result's identity.
 
 The result is a deterministic tuple of :class:`ExperimentCell` objects whose
 canonical configuration dictionaries feed the content-addressed store.
@@ -95,7 +98,6 @@ def make_einsim_cell(
     code: Mapping[str, Any],
     num_words: int,
     seed: int = 0,
-    backend: str = "packed",
     dataword: Any = "ones",
     chunk_size: int = 65536,
 ) -> ExperimentCell:
@@ -112,7 +114,6 @@ def make_einsim_cell(
             "dataword": _normalise_dataword_spec(dataword),
             "num_words": int(num_words),
             "seed": int(seed),
-            "backend": str(backend),
             "chunk_size": int(chunk_size),
         }
     )
@@ -126,7 +127,6 @@ def make_beer_cell(
     rounds_per_window: int = 4,
     threshold: float = 0.0,
     seed: int = 0,
-    backend: str = "packed",
     num_rows: int = 32,
     words_per_row: int = 8,
     solve: bool = False,
@@ -151,7 +151,6 @@ def make_beer_cell(
         "rounds_per_window": int(rounds_per_window),
         "threshold": float(threshold),
         "seed": int(seed),
-        "backend": str(backend),
         "num_rows": int(num_rows),
         "words_per_row": int(words_per_row),
     }
@@ -195,7 +194,6 @@ class SweepSpec:
         num_words = int(payload.get("num_words", 10_000))
         chunk_size = int(payload.get("chunk_size", 65536))
         seeds = [int(s) for s in payload.get("seeds", [0])]
-        backends = [str(b) for b in payload.get("backends", ["packed"])]
         codes = payload.get("codes", [{"data_bits": 16}])
         datawords = payload.get("datawords", ["ones"])
 
@@ -204,8 +202,8 @@ class SweepSpec:
             if "name" not in entry:
                 raise ScenarioError("each scenario entry needs a 'name'")
             for params in _expand_grid(entry.get("params", {})):
-                for code, dataword, seed, backend in itertools.product(
-                    codes, datawords, seeds, backends
+                for code, dataword, seed in itertools.product(
+                    codes, datawords, seeds
                 ):
                     cells.append(
                         make_einsim_cell(
@@ -214,17 +212,15 @@ class SweepSpec:
                             code=code,
                             num_words=int(entry.get("num_words", num_words)),
                             seed=seed,
-                            backend=backend,
                             dataword=dataword,
                             chunk_size=chunk_size,
                         )
                     )
         for entry in experiments:
             for point in _expand_grid(dict(entry)):
-                for seed, backend in itertools.product(seeds, backends):
+                for seed in seeds:
                     combo = dict(point)
                     combo.setdefault("seed", seed)
-                    combo.setdefault("backend", backend)
                     cells.append(make_beer_cell(**combo))
 
         deduped: List[ExperimentCell] = []

@@ -1,7 +1,7 @@
 """Persistent, content-addressed result store for experiment campaigns.
 
 Every simulated experiment cell is identified by a canonical hash of its full
-configuration (scenario, code, simulation config, seed, backend); results are
+configuration (scenario, code, simulation config, seed); results are
 appended durably under a campaign directory as they complete.  This gives
 four properties the scenario subsystem is built on:
 

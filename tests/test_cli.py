@@ -140,11 +140,12 @@ class TestEinsimCommand:
     def test_parser_defaults_and_backend_choices(self):
         args = build_parser().parse_args(["einsim"])
         assert args.command == "einsim"
-        assert args.backend == "reference"
-        args = build_parser().parse_args(["einsim", "--backend", "packed"])
-        assert args.backend == "packed"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["einsim", "--backend", "gpu"])
+        assert args.backend == "auto"
+        args = build_parser().parse_args(["einsim", "--backend", "fast"])
+        assert args.backend == "fast"
+        for retired in ("gpu", "packed", "fused"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["einsim", "--backend", retired])
 
     def test_einsim_writes_figure_data(self, tmp_path, capsys):
         output = tmp_path / "einsim.json"
@@ -154,23 +155,23 @@ class TestEinsimCommand:
                 "--data-bits", "8",
                 "--num-words", "500",
                 "--ber", "0.01",
-                "--backend", "packed",
+                "--backend", "fast",
                 "--chunk-size", "128",
                 "--output", str(output),
             ]
         )
         assert exit_code == 0
-        assert "packed backend" in capsys.readouterr().out
+        assert "fast backend" in capsys.readouterr().out
         payload = json.loads(output.read_text())
         assert payload["num_words"] == 500
-        assert payload["backend"] == "packed"
+        assert payload["backend"] == "fast"
         assert len(payload["post_correction_error_counts"]) == 8
         assert len(payload["pre_correction_error_counts"]) == payload["codeword_length"]
 
     def test_backends_emit_identical_figure_data(self, tmp_path):
-        """Smoke test: reference and packed produce identical figure data."""
+        """Smoke test: reference and fast produce identical figure data."""
         payloads = {}
-        for backend in ("reference", "packed"):
+        for backend in ("reference", "fast"):
             output = tmp_path / f"einsim_{backend}.json"
             exit_code = main(
                 [
@@ -186,7 +187,7 @@ class TestEinsimCommand:
             assert exit_code == 0
             payloads[backend] = json.loads(output.read_text())
             payloads[backend].pop("backend")
-        assert payloads["reference"] == payloads["packed"]
+        assert payloads["reference"] == payloads["fast"]
 
 
 class TestJsonOutput:
@@ -342,7 +343,7 @@ class TestSimulateProfileBackend:
     def test_backends_emit_identical_profiles(self, tmp_path):
         """The simulated chip campaign is backend-invariant bit for bit."""
         payloads = {}
-        for backend in ("reference", "packed"):
+        for backend in ("reference", "fast"):
             output = tmp_path / f"profile_{backend}.json"
             exit_code = main(
                 [
@@ -356,7 +357,7 @@ class TestSimulateProfileBackend:
             )
             assert exit_code == 0
             payloads[backend] = json.loads(output.read_text())
-        assert payloads["reference"] == payloads["packed"]
+        assert payloads["reference"] == payloads["fast"]
 
 
 class TestSatStatsFlag:
@@ -437,7 +438,7 @@ class TestCodeFamilyFlag:
         exit_code = main(
             ["einsim", "--data-bits", "8", "--num-words", "2000",
              "--ber", "0.02", "--code-family", "secded-extended-hamming",
-             "--backend", "packed", "--json"]
+             "--backend", "fast", "--json"]
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)

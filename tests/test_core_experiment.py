@@ -228,9 +228,9 @@ class TestMonteCarloCampaign:
 
         injector = DataRetentionInjector(0.05)
         code, reference = self._campaign(chunk_size=512, backend="reference", base_seed=9)
-        _, packed = self._campaign(chunk_size=512, backend="packed", base_seed=9)
+        _, fast = self._campaign(chunk_size=512, backend="fast", base_seed=9)
         first = reference.simulate([1] * 16, injector, 3000)
-        second = packed.simulate([1] * 16, injector, 3000)
+        second = fast.simulate([1] * 16, injector, 3000)
         assert np.array_equal(
             first.post_correction_error_counts, second.post_correction_error_counts
         )
@@ -267,7 +267,7 @@ class TestMonteCarloCampaign:
         from repro.ecc.hamming import min_parity_bits
 
         code = random_hamming_code(8, rng=np.random.default_rng(21))
-        campaign = MonteCarloCampaign(code, chunk_size=1024, backend="packed", base_seed=1)
+        campaign = MonteCarloCampaign(code, chunk_size=1024, backend="fast", base_seed=1)
         patterns = list(charged_patterns(8, [1, 2]))
         profile = campaign.miscorrection_profile(patterns, 0.5, 4000)
         assert profile == expected_miscorrection_profile(code, patterns)

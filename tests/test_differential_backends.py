@@ -1,4 +1,4 @@
-"""Differential test suite: ``packed`` backend vs the ``reference`` oracle.
+"""Differential test suite: ``fast`` backend vs the ``reference`` oracle.
 
 The bit-packed GF(2) fast path is a correctness-critical rewrite of the
 numerical core, so every public batched operation is checked for bit-exact
@@ -55,12 +55,18 @@ def _random_words(code, batch, seed):
 class TestBackendResolution:
     def test_valid_backends(self):
         assert resolve_backend("reference") == "reference"
-        assert resolve_backend("packed") == "packed"
-        assert resolve_backend("auto") in BACKENDS
+        assert resolve_backend("fast") == "fast"
+        assert resolve_backend("auto") == "fast"
+        assert BACKENDS == ("reference", "fast")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             resolve_backend("z3")
+
+    @pytest.mark.parametrize("retired", ["packed", "fused"])
+    def test_retired_backend_names_rejected(self, retired):
+        with pytest.raises(ValueError):
+            resolve_backend(retired)
 
 
 class TestBulkEncodeDifferential:
@@ -71,8 +77,8 @@ class TestBulkEncodeDifferential:
         rng = np.random.default_rng(code_seed + batch)
         datawords = rng.integers(0, 2, size=(batch, num_data_bits)).astype(np.uint8)
         reference = bulk_encode(code, datawords, "reference")
-        packed = bulk_encode(code, datawords, "packed")
-        assert np.array_equal(reference, packed)
+        fast = bulk_encode(code, datawords, "fast")
+        assert np.array_equal(reference, fast)
 
     @pytest.mark.parametrize("num_data_bits,code_seed", CODE_SIZES[:4])
     def test_both_match_per_word_encode(self, num_data_bits, code_seed):
@@ -93,8 +99,8 @@ class TestBulkSyndromeDifferential:
         code = _code(num_data_bits, code_seed)
         words = _random_words(code, batch, code_seed * 13 + batch)
         reference = bulk_syndrome_values(code, words, "reference")
-        packed = bulk_syndrome_values(code, words, "packed")
-        assert np.array_equal(reference, packed)
+        fast = bulk_syndrome_values(code, words, "fast")
+        assert np.array_equal(reference, fast)
 
     @pytest.mark.parametrize("num_data_bits,code_seed", CODE_SIZES[:4])
     def test_both_match_per_word_syndrome(self, num_data_bits, code_seed):
@@ -114,8 +120,8 @@ class TestBulkDecodeDifferential:
         code = _code(num_data_bits, code_seed)
         words = _random_words(code, batch, code_seed * 17 + batch)
         reference = bulk_decode(code, words, "reference")
-        packed = bulk_decode(code, words, "packed")
-        assert np.array_equal(reference, packed)
+        fast = bulk_decode(code, words, "fast")
+        assert np.array_equal(reference, fast)
 
     @pytest.mark.parametrize("num_data_bits,code_seed", CODE_SIZES[:5])
     def test_both_match_per_word_decoder(self, num_data_bits, code_seed):
@@ -177,16 +183,16 @@ class TestSimulatorDifferential:
             results[backend] = simulator.simulate(
                 GF2Vector.ones(num_data_bits), 3000, injector, batch_size=1024
             )
-        reference, packed = results["reference"], results["packed"]
+        reference, fast = results["reference"], results["fast"]
         assert np.array_equal(
-            reference.post_correction_error_counts, packed.post_correction_error_counts
+            reference.post_correction_error_counts, fast.post_correction_error_counts
         )
         assert np.array_equal(
-            reference.pre_correction_error_counts, packed.pre_correction_error_counts
+            reference.pre_correction_error_counts, fast.pre_correction_error_counts
         )
-        assert reference.uncorrectable_words == packed.uncorrectable_words
-        assert reference.miscorrected_words == packed.miscorrected_words
-        assert reference.miscorrection_positions == packed.miscorrection_positions
+        assert reference.uncorrectable_words == fast.uncorrectable_words
+        assert reference.miscorrected_words == fast.miscorrected_words
+        assert reference.miscorrection_positions == fast.miscorrection_positions
 
 
 class TestProfileDifferential:
@@ -205,7 +211,7 @@ class TestProfileDifferential:
             )
             for backend in BACKENDS
         }
-        assert profiles["reference"] == profiles["packed"]
+        assert profiles["reference"] == profiles["fast"]
 
     @pytest.mark.parametrize("num_data_bits,code_seed", [(8, 6), (16, 7)])
     def test_campaign_profiles_identical_and_converge(self, num_data_bits, code_seed):
@@ -217,9 +223,9 @@ class TestProfileDifferential:
             ).miscorrection_profile(patterns, 0.5, 3000)
             for backend in BACKENDS
         }
-        assert profiles["reference"] == profiles["packed"]
+        assert profiles["reference"] == profiles["fast"]
         expected = expected_miscorrection_profile(code, patterns)
-        assert profiles["packed"] == expected
+        assert profiles["fast"] == expected
 
 
 class TestEndToEndBeerDifferential:
@@ -228,7 +234,7 @@ class TestEndToEndBeerDifferential:
         code = _code(num_data_bits, code_seed)
         patterns = list(charged_patterns(num_data_bits, [1, 2]))
         profile = MonteCarloCampaign(
-            code, chunk_size=1024, backend="packed", base_seed=code_seed
+            code, chunk_size=1024, backend="fast", base_seed=code_seed
         ).miscorrection_profile(patterns, 0.5, 4000)
         solver = BeerSolver(num_data_bits, min_parity_bits(num_data_bits))
         solution = solver.solve(profile)
@@ -251,4 +257,4 @@ class TestEndToEndBeerDifferential:
             chip.fill(GF2Vector.ones(8))
             chip.pause_refresh(120.0, 80.0)
             readings[backend] = chip.read_all_datawords()
-        assert np.array_equal(readings["reference"], readings["packed"])
+        assert np.array_equal(readings["reference"], readings["fast"])

@@ -2,7 +2,7 @@
 
 Two locks:
 
-* the packed engine's decode outcomes (corrected words *and* DUE masks) are
+* the fast engine's decode outcomes (corrected words *and* DUE masks) are
   bit-identical to the reference backend for every family — the fast path
   must encode "detect, don't flip" exactly like the oracle;
 * BEER — both the backtracking and the SAT backend — recovers an injected
@@ -57,12 +57,12 @@ class TestPackedMatchesReferencePerFamily:
             0, 2, size=(512, code.codeword_length), dtype=np.uint8
         )
         ref_corrected, ref_due = bulk_decode_outcomes(code, received, "reference")
-        fast_corrected, fast_due = bulk_decode_outcomes(code, received, "packed")
+        fast_corrected, fast_due = bulk_decode_outcomes(code, received, "fast")
         np.testing.assert_array_equal(ref_corrected, fast_corrected)
         np.testing.assert_array_equal(ref_due, fast_due)
         np.testing.assert_array_equal(
             bulk_decode(code, received, "reference"),
-            bulk_decode(code, received, "packed"),
+            bulk_decode(code, received, "fast"),
         )
 
     def test_bulk_encode_bit_identical(self, family_code):
@@ -71,7 +71,7 @@ class TestPackedMatchesReferencePerFamily:
         datawords = rng.integers(0, 2, size=(256, code.num_data_bits), dtype=np.uint8)
         np.testing.assert_array_equal(
             bulk_encode(code, datawords, "reference"),
-            bulk_encode(code, datawords, "packed"),
+            bulk_encode(code, datawords, "fast"),
         )
 
     def test_engine_matches_scalar_decoder(self, family_code):
@@ -79,7 +79,7 @@ class TestPackedMatchesReferencePerFamily:
         decoder = SyndromeDecoder(code)
         rng = np.random.default_rng(7)
         received = rng.integers(0, 2, size=(64, code.codeword_length), dtype=np.uint8)
-        corrected, due = bulk_decode_outcomes(code, received, "packed")
+        corrected, due = bulk_decode_outcomes(code, received, "fast")
         for row in range(received.shape[0]):
             result = decoder.decode(GF2Vector(received[row]))
             assert corrected[row].tolist() == result.corrected_codeword.to_list()
@@ -88,20 +88,20 @@ class TestPackedMatchesReferencePerFamily:
     def test_simulator_backends_agree_including_due(self, family_code):
         code = family_code
         results = {}
-        for backend in ("reference", "packed"):
+        for backend in ("reference", "fast"):
             simulator = EinsimSimulator(code, seed=42, backend=backend)
             results[backend] = simulator.simulate(
                 np.ones(code.num_data_bits, dtype=np.uint8),
                 2_000,
                 UniformRandomInjector(0.02),
             )
-        reference, packed = results["reference"], results["packed"]
-        assert reference.detected_words == packed.detected_words
-        assert reference.uncorrectable_words == packed.uncorrectable_words
-        assert reference.miscorrected_words == packed.miscorrected_words
+        reference, fast = results["reference"], results["fast"]
+        assert reference.detected_words == fast.detected_words
+        assert reference.uncorrectable_words == fast.uncorrectable_words
+        assert reference.miscorrected_words == fast.miscorrected_words
         np.testing.assert_array_equal(
             reference.post_correction_error_counts,
-            packed.post_correction_error_counts,
+            fast.post_correction_error_counts,
         )
 
 
@@ -109,7 +109,7 @@ class TestFamilyDueSemantics:
     def test_secded_every_double_error_is_due_in_bulk(self):
         code = get_family("secded-extended-hamming").construct(8)
         codeword = bulk_encode(
-            code, np.ones((1, 8), dtype=np.uint8), "packed"
+            code, np.ones((1, 8), dtype=np.uint8), "fast"
         )[0]
         words = []
         for a in range(code.codeword_length):
@@ -119,7 +119,7 @@ class TestFamilyDueSemantics:
                 word[b] ^= 1
                 words.append(word)
         received = np.asarray(words, dtype=np.uint8)
-        corrected, due = bulk_decode_outcomes(code, received, "packed")
+        corrected, due = bulk_decode_outcomes(code, received, "fast")
         assert due.all()
         np.testing.assert_array_equal(corrected, received)  # nothing flipped
 
@@ -127,14 +127,14 @@ class TestFamilyDueSemantics:
         code = get_family("parity-detect").construct(8)
         rng = np.random.default_rng(9)
         received = rng.integers(0, 2, size=(128, 9), dtype=np.uint8)
-        corrected, due = bulk_decode_outcomes(code, received, "packed")
+        corrected, due = bulk_decode_outcomes(code, received, "fast")
         np.testing.assert_array_equal(corrected, received)
         syndromes = received.sum(axis=1) % 2
         np.testing.assert_array_equal(due, syndromes == 1)
 
     def test_simulator_counts_due_for_detect_only_family(self):
         code = get_family("repetition").construct(4, 4)  # duplication
-        simulator = EinsimSimulator(code, seed=0, backend="packed")
+        simulator = EinsimSimulator(code, seed=0, backend="fast")
         result = simulator.simulate(
             np.ones(4, dtype=np.uint8), 2_000, UniformRandomInjector(0.05)
         )
@@ -164,7 +164,7 @@ def _simulated_profile(code):
         bit_error_rate=0.35,
         words_per_pattern=4_000,
         rng=np.random.default_rng(123),
-        backend="packed",
+        backend="fast",
     )
     return counts, counts.to_profile()
 

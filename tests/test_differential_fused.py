@@ -1,11 +1,11 @@
-"""Differential test suite: the ``fused`` backend vs the staged backends.
+"""Differential test suite: the ``fast`` backend's fused rounds vs the oracle.
 
 The fused pipeline (:mod:`repro.einsim.fused`) reimplements an entire
 Monte-Carlo round — inject, decode, classify — over packed representations,
 so every statistic it produces is checked for bit-exact equality against the
-``reference`` oracle (and the ``packed`` backend) across all code families,
-all injector types and all three packed mask representations, at the
-simulator, profile and campaign layers.  The packed injector protocol is
+staged ``reference`` oracle across all code families, all injector types and
+all three packed mask representations, at the simulator, profile and
+campaign layers.  The packed injector protocol is
 additionally checked mask-for-mask and RNG-state-for-RNG-state against the
 unpacked draw it replaces.
 """
@@ -35,7 +35,6 @@ from repro.einsim import (
 )
 from repro.einsim.engine import bulk_decode_outcomes
 from repro.gf2.bitpack import pack_bool_rows
-from repro.gf2.native import NATIVE_AVAILABLE
 from repro.core import MonteCarloCampaign, charged_patterns
 from repro.core.profile import monte_carlo_observation_counts
 
@@ -112,7 +111,7 @@ def _assert_results_equal(expected, actual):
 
 
 class TestSimulatorDifferential:
-    """Every family x every injector, all three backends, field-exact."""
+    """Every family x every injector, fast vs reference, field-exact."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     def test_all_backends_bit_identical(self, family, args):
@@ -123,10 +122,9 @@ class TestSimulatorDifferential:
                 backend: EinsimSimulator(
                     code, seed=100 + index, backend=backend
                 ).simulate(dataword, 531, injector, batch_size=128)
-                for backend in ("reference", "packed", "fused")
+                for backend in ("reference", "fast")
             }
-            _assert_results_equal(results["reference"], results["packed"])
-            _assert_results_equal(results["reference"], results["fused"])
+            _assert_results_equal(results["reference"], results["fast"])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -144,10 +142,10 @@ class TestSimulatorDifferential:
         reference = EinsimSimulator(code, seed=seed, backend="reference").simulate(
             dataword, num_words, injector, batch_size=batch_size
         )
-        fused = EinsimSimulator(code, seed=seed, backend="fused").simulate(
+        fast = EinsimSimulator(code, seed=seed, backend="fast").simulate(
             dataword, num_words, injector, batch_size=batch_size
         )
-        _assert_results_equal(reference, fused)
+        _assert_results_equal(reference, fast)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -173,10 +171,10 @@ class TestSimulatorDifferential:
         reference = EinsimSimulator(code, seed=seed, backend="reference").simulate(
             dataword, num_words, injector, batch_size=128
         )
-        fused = EinsimSimulator(code, seed=seed, backend="fused").simulate(
+        fast = EinsimSimulator(code, seed=seed, backend="fast").simulate(
             dataword, num_words, injector, batch_size=128
         )
-        _assert_results_equal(reference, fused)
+        _assert_results_equal(reference, fast)
 
 
 class TestInjectorPackedProtocol:
@@ -271,7 +269,7 @@ class TestSegmentedClassification:
 
 
 class TestProfileDifferential:
-    """monte_carlo_observation_counts: grouped fused pass vs staged loop."""
+    """monte_carlo_observation_counts: fused classification vs staged loop."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     @pytest.mark.parametrize(
@@ -281,7 +279,7 @@ class TestProfileDifferential:
         code = _construct(family, args)
         patterns = list(charged_patterns(code.num_data_bits, [1, 2]))
         results = {}
-        for backend in ("reference", "packed", "fused"):
+        for backend in ("reference", "fast"):
             results[backend] = monte_carlo_observation_counts(
                 code,
                 patterns,
@@ -291,25 +289,46 @@ class TestProfileDifferential:
                 rng=np.random.default_rng(21),
                 backend=backend,
             )
-        reference = results["reference"]
-        for backend in ("packed", "fused"):
-            other = results[backend]
-            assert reference.patterns == other.patterns
-            for pattern in reference.patterns:
-                assert np.array_equal(
-                    reference.counts_for(pattern), other.counts_for(pattern)
-                )
-                assert reference.words_observed(pattern) == other.words_observed(
-                    pattern
-                )
-                assert reference.due_words_observed(
-                    pattern
-                ) == other.due_words_observed(pattern)
-            assert reference.to_profile() == other.to_profile()
+        reference, fast = results["reference"], results["fast"]
+        assert reference.patterns == fast.patterns
+        for pattern in reference.patterns:
+            assert np.array_equal(
+                reference.counts_for(pattern), fast.counts_for(pattern)
+            )
+            assert reference.words_observed(pattern) == fast.words_observed(pattern)
+            assert reference.due_words_observed(
+                pattern
+            ) == fast.due_words_observed(pattern)
+        assert reference.to_profile() == fast.to_profile()
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_draws_one_pattern_at_a_time(self, backend):
+        # Peak memory follows the largest RNG block: each backend must draw
+        # one pattern's (words_per_pattern, n) block at a time, never a block
+        # spanning several patterns.
+        code = _construct("sec-hamming", (16,))
+        patterns = list(charged_patterns(code.num_data_bits, [1, 2]))
+        words_per_pattern = 50
+        sizes = []
+
+        class SpyGenerator:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def random(self, size):
+                sizes.append(int(np.prod(size)))
+                return self._rng.random(size)
+
+        monte_carlo_observation_counts(
+            code, patterns, 0.1, words_per_pattern,
+            rng=SpyGenerator(3), backend=backend,
+        )
+        assert len(sizes) == len(patterns)
+        assert max(sizes) <= words_per_pattern * code.codeword_length
 
 
 class TestCampaignDifferential:
-    """Chunked campaigns: fused cross-chunk batching vs per-chunk reference."""
+    """Chunked campaigns: fast cross-chunk batching vs per-chunk reference."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     def test_chunked_campaign_bit_identical(self, family, args):
@@ -321,10 +340,10 @@ class TestCampaignDifferential:
         reference = MonteCarloCampaign(
             code, chunk_size=700, backend="reference", base_seed=5
         ).simulate_many(datawords, injector, 1801)
-        fused = MonteCarloCampaign(
-            code, chunk_size=700, backend="fused", base_seed=5
+        fast = MonteCarloCampaign(
+            code, chunk_size=700, backend="fast", base_seed=5
         ).simulate_many(datawords, injector, 1801)
-        for expected, actual in zip(reference, fused):
+        for expected, actual in zip(reference, fast):
             _assert_results_equal(expected, actual)
 
     def test_mixed_injector_flushes_between_representations(self):
@@ -338,10 +357,10 @@ class TestCampaignDifferential:
         reference = MonteCarloCampaign(
             code, chunk_size=300, backend="reference", base_seed=9
         ).simulate_many([np.ones(k, np.uint8)], injector, 1000)
-        fused = MonteCarloCampaign(
-            code, chunk_size=300, backend="fused", base_seed=9
+        fast = MonteCarloCampaign(
+            code, chunk_size=300, backend="fast", base_seed=9
         ).simulate_many([np.ones(k, np.uint8)], injector, 1000)
-        _assert_results_equal(reference[0], fused[0])
+        _assert_results_equal(reference[0], fast[0])
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -356,10 +375,10 @@ class TestCampaignDifferential:
         reference = MonteCarloCampaign(
             code, chunk_size=chunk_size, backend="reference", base_seed=seed
         ).simulate(dataword, injector, num_words)
-        fused = MonteCarloCampaign(
-            code, chunk_size=chunk_size, backend="fused", base_seed=seed
+        fast = MonteCarloCampaign(
+            code, chunk_size=chunk_size, backend="fast", base_seed=seed
         ).simulate(dataword, injector, num_words)
-        _assert_results_equal(reference, fused)
+        _assert_results_equal(reference, fast)
 
 
 class TestStagedKernelRegressions:
@@ -371,7 +390,7 @@ class TestStagedKernelRegressions:
         code = _construct("parity-detect", (16,))
         rng = np.random.default_rng(3)
         words = rng.integers(0, 2, size=(50, code.codeword_length)).astype(np.uint8)
-        corrected, due = bulk_decode_outcomes(code, words, "packed")
+        corrected, due = bulk_decode_outcomes(code, words, "fast")
         assert corrected is words
         reference_corrected, reference_due = bulk_decode_outcomes(
             code, words, "reference"
@@ -383,7 +402,7 @@ class TestStagedKernelRegressions:
         code = _construct("sec-hamming", (16,))
         words = np.zeros((4, code.codeword_length), dtype=np.uint8)
         words[1, 3] = 1  # single-bit error: the decoder must flip it back
-        corrected, _ = bulk_decode_outcomes(code, words, "packed")
+        corrected, _ = bulk_decode_outcomes(code, words, "fast")
         assert corrected is not words
         assert words[1, 3] == 1  # input untouched
         assert corrected[1, 3] == 0
@@ -404,44 +423,5 @@ class TestStagedKernelRegressions:
         rng = np.random.default_rng(11)
         words = rng.integers(0, 2, size=(83, code.codeword_length)).astype(np.uint8)
         reference = bulk_syndrome_values(code, words, "reference")
-        packed = bulk_syndrome_values(code, words, "packed")
-        assert np.array_equal(reference, packed)
-
-
-class TestNativeTier:
-    """The optional numba fold tier (runs only where numba is installed)."""
-
-    def test_native_flag_consistent(self):
-        from repro.gf2.native import native_available
-
-        if not NATIVE_AVAILABLE:
-            assert not native_available()
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="numba not installed")
-    def test_native_fold_matches_numpy(self):
-        from repro.gf2.bitpack import fold_bytes
-        from repro.gf2.native import fold_classify_native
-
-        code = _construct("secded-extended-hamming", (32,))
-        table = code.syndrome_fold_table()
-        rng = np.random.default_rng(13)
-        mask_bytes = rng.integers(
-            0, 256, size=(4096, table.shape[0]), dtype=np.uint8
-        )
-        assert np.array_equal(
-            fold_classify_native(mask_bytes, table),
-            fold_bytes(table, mask_bytes),
-        )
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="numba not installed")
-    def test_fused_backend_bit_identical_under_native(self):
-        code = _construct("secded-extended-hamming", (32,))
-        dataword = np.arange(32) % 2
-        injector = UniformRandomInjector(0.01)
-        reference = EinsimSimulator(code, seed=1, backend="reference").simulate(
-            dataword, 3000, injector
-        )
-        fused = EinsimSimulator(code, seed=1, backend="fused").simulate(
-            dataword, 3000, injector
-        )
-        _assert_results_equal(reference, fused)
+        fast = bulk_syndrome_values(code, words, "fast")
+        assert np.array_equal(reference, fast)

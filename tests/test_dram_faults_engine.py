@@ -2,7 +2,7 @@
 
 Covers the satellite requirements: the stuck-at mask cache must be permanent
 across interleaved batch shapes, and transient + stuck-at overlays must be
-bit-identical between the ``reference`` and ``packed`` backends, both through
+bit-identical between the ``reference`` and ``fast`` backends, both through
 :class:`EinsimSimulator` and through a chip read path.
 """
 
@@ -74,24 +74,24 @@ class TestFaultModelsThroughBatchedEngine:
             results[backend] = simulator.simulate(
                 [0] * 16, 2000, overlay, batch_size=512
             )
-        reference, packed = results["reference"], results["packed"]
+        reference, fast = results["reference"], results["fast"]
         assert np.array_equal(
             reference.post_correction_error_counts,
-            packed.post_correction_error_counts,
+            fast.post_correction_error_counts,
         )
         assert np.array_equal(
             reference.pre_correction_error_counts,
-            packed.pre_correction_error_counts,
+            fast.pre_correction_error_counts,
         )
-        assert reference.uncorrectable_words == packed.uncorrectable_words
-        assert reference.miscorrected_words == packed.miscorrected_words
+        assert reference.uncorrectable_words == fast.uncorrectable_words
+        assert reference.miscorrected_words == fast.miscorrected_words
         assert (
-            reference.miscorrection_positions == packed.miscorrection_positions
+            reference.miscorrection_positions == fast.miscorrection_positions
         )
 
     def test_overlay_injects_both_mechanisms(self, overlay):
         code = hamming_code(16)
-        simulator = EinsimSimulator(code, seed=5, backend="packed")
+        simulator = EinsimSimulator(code, seed=5, backend="fast")
         result = simulator.simulate([0] * 16, 2000, overlay, batch_size=512)
         # Stuck-at-1 cells over an all-zero codeword plus transient flips
         # must inject noticeably more errors than either mechanism alone.
@@ -126,4 +126,4 @@ class TestChipLevelFaultsAcrossBackends:
             chip.fill([1] * 8)
             chip.pause_refresh(60.0, 80.0)
             observed[backend] = chip.read_all_datawords()
-        assert np.array_equal(observed["reference"], observed["packed"])
+        assert np.array_equal(observed["reference"], observed["fast"])

@@ -436,9 +436,9 @@ class TestSyndromeLookupCache:
         words = np.random.default_rng(1).integers(
             0, 2, size=(64, code.codeword_length)
         ).astype(np.uint8)
-        first = bulk_decode(code, words)
-        second = bulk_decode(code, words)
-        third = bulk_decode(code, words, backend="packed")
+        first = bulk_decode(code, words, backend="reference")
+        second = bulk_decode(code, words, backend="reference")
+        third = bulk_decode(code, words, backend="fast")
         assert len(builds) == 1  # built on first use, cached afterwards
         assert np.array_equal(first, second)
         assert np.array_equal(first, third)
@@ -459,9 +459,9 @@ class TestSyndromeLookupCache:
 class TestSimulatorBackends:
     def test_backend_property_and_validation(self):
         code = example_7_4_code()
-        assert EinsimSimulator(code).backend == "reference"
-        assert EinsimSimulator(code, backend="packed").backend == "packed"
-        assert EinsimSimulator(code, backend="auto").backend in ("reference", "packed")
+        assert EinsimSimulator(code).backend == "fast"
+        assert EinsimSimulator(code, backend="reference").backend == "reference"
+        assert EinsimSimulator(code, backend="auto").backend == "fast"
         with pytest.raises(ValueError):
             EinsimSimulator(code, backend="turbo")
 

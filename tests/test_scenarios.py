@@ -1,7 +1,9 @@
 """Tests for the scenario registry, sweep expansion, and cache-aware runner."""
 
+import numpy as np
 import pytest
 
+from repro.core import MonteCarloCampaign
 from repro.exceptions import ScenarioError
 from repro.einsim import (
     BurstErrorInjector,
@@ -129,18 +131,31 @@ class TestSweepExpansion:
         assert len(beer_cells) == 2
         assert {c.config()["rounds_per_window"] for c in beer_cells} == {2, 4}
 
-    def test_beer_experiments_expand_over_seeds_and_backends(self):
+    def test_beer_experiments_expand_over_seeds_not_backends(self):
         payload = dict(BASE_SWEEP)
         payload["seeds"] = [0, 1, 2]
-        payload["backends"] = ["reference", "packed"]
+        payload["backends"] = ["reference", "fast"]
         payload["experiments"] = [{"vendor": "A", "data_bits": 8}]
         spec = SweepSpec.from_dict(payload)
         beer_cells = [cell for cell in spec.cells if cell.kind == "beer"]
-        assert len(beer_cells) == 6
-        combos = {
-            (c.config()["seed"], c.config()["backend"]) for c in beer_cells
-        }
-        assert combos == {(s, b) for s in (0, 1, 2) for b in ("reference", "packed")}
+        assert len(beer_cells) == 3
+        assert {c.config()["seed"] for c in beer_cells} == {0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "backends", [["reference", "fast"], ["auto"], ["packed"], None],
+        ids=["reference-fast", "auto", "packed", "absent"],
+    )
+    def test_retired_backends_field_changes_no_cell_or_key(self, backends):
+        payload = dict(BASE_SWEEP)
+        payload["experiments"] = [{"vendor": "A", "data_bits": 8}]
+        payload.pop("backends")
+        baseline = SweepSpec.from_dict(payload)
+        if backends is not None:
+            payload["backends"] = backends
+        spec = SweepSpec.from_dict(payload)
+        assert spec.cells == baseline.cells
+        assert [c.key() for c in spec.cells] == [c.key() for c in baseline.cells]
+        assert all("backend" not in c.config() for c in spec.cells)
 
     def test_cell_key_covers_every_config_field(self):
         base = make_einsim_cell(
@@ -148,7 +163,6 @@ class TestSweepExpansion:
         )
         for override in (
             {"seed": 1},
-            {"backend": "reference"},
             {"num_words": 101},
             {"chunk_size": 32},
             {"dataword": "zeros"},
@@ -243,30 +257,6 @@ class TestSweepRunner:
         assert (tmp_path / "serial" / "records.jsonl").read_bytes() == (
             tmp_path / "parallel" / "records.jsonl"
         ).read_bytes()
-
-    def test_backends_produce_identical_results(self, tmp_path):
-        payload = dict(BASE_SWEEP)
-        payload["backends"] = ["reference", "packed"]
-        payload["scenarios"] = [
-            {
-                "name": "transient-stuck-overlay",
-                "params": {"transient_probability": 0.01, "stuck_fraction": 0.05},
-            },
-            {"name": "data-retention-mixed", "params": {"bit_error_rate": 0.02}},
-        ]
-        spec = SweepSpec.from_dict(payload)
-        store = CampaignStore(tmp_path / "camp")
-        SweepRunner(store=store).run(spec)
-        by_config = {}
-        for record in store.records():
-            config = dict(record.config)
-            backend = config.pop("backend")
-            by_config.setdefault(str(sorted(config.items())), {})[backend] = (
-                record.result
-            )
-        assert len(by_config) == 2
-        for results in by_config.values():
-            assert results["reference"] == results["packed"]
 
     def test_runner_without_store_still_runs(self):
         spec = SweepSpec.from_dict(BASE_SWEEP)
@@ -597,3 +587,49 @@ class TestBeerCellSolve:
         out = capsys.readouterr().out
         assert "SAT (1 solved cells)" in out
         assert "propagations" in out
+
+
+def _required_params(name, codeword_length):
+    """Values for scenario ``name``'s required parameters (defaults fill the rest)."""
+    return {
+        "uniform-random": {"bit_error_rate": 0.02},
+        "data-retention-true": {"bit_error_rate": 0.05},
+        "data-retention-anti": {"bit_error_rate": 0.05},
+        "data-retention-mixed": {"bit_error_rate": 0.05},
+        "fixed-error-count": {"num_errors": 2},
+        "per-bit-bernoulli": {
+            "probabilities": np.linspace(0.0, 0.1, codeword_length).tolist()
+        },
+        "burst": {"burst_probability": 0.1},
+        "row-stripe": {"row_probability": 0.2},
+        "transient-stuck-overlay": {
+            "transient_probability": 0.01, "stuck_fraction": 0.05,
+        },
+    }[name]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_fast_backend_matches_reference_for_every_scenario(name):
+    """The retired sweep axis: every scenario is backend-invariant, field by field."""
+    code = resolve_code({"data_bits": 16})
+    injector = build_injector(name, _required_params(name, code.codeword_length))
+    dataword = resolve_dataword("alternating", code.num_data_bits)
+    # 700 does not divide 1500: a short final chunk is exercised too.
+    reference, fast = (
+        MonteCarloCampaign(
+            code, chunk_size=700, backend=backend, base_seed=3
+        ).simulate(dataword, injector, 1500)
+        for backend in ("reference", "fast")
+    )
+    assert reference.dataword == fast.dataword
+    assert reference.num_words == fast.num_words
+    assert np.array_equal(
+        reference.post_correction_error_counts, fast.post_correction_error_counts
+    )
+    assert np.array_equal(
+        reference.pre_correction_error_counts, fast.pre_correction_error_counts
+    )
+    assert reference.uncorrectable_words == fast.uncorrectable_words
+    assert reference.miscorrected_words == fast.miscorrected_words
+    assert reference.miscorrection_positions == fast.miscorrection_positions
+    assert reference.detected_words == fast.detected_words
