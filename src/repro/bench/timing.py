@@ -2,9 +2,10 @@
 
 Workload runners receive a :class:`RunControl` describing how carefully to
 measure (nothing at smoke tier, best-of-repeats with a minimum time budget at
-full tier) and call :meth:`RunControl.measure` around the hot path.  Keeping
-the loop here means every benchmark measures the same way and the tier knobs
-live in one place.
+full tier) and call :meth:`RunControl.measure` around the hot path, or
+:meth:`RunControl.measure_interleaved` around paired sections whose ratio
+they report.  Keeping the loop here means every benchmark measures the same
+way and the tier knobs live in one place.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from repro.exceptions import ValidationError
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Mapping
 
 
 @dataclass(frozen=True)
@@ -33,25 +34,46 @@ class RunControl:
 
     def measure(self, fn: Callable[[], object]) -> "Measurement":
         """Run ``fn`` under this control and return its timing summary."""
+        return self.measure_interleaved({"": fn})[""]
+
+    def measure_interleaved(
+        self, fns: Mapping[str, Callable[[], object]]
+    ) -> Dict[str, "Measurement"]:
+        """Time several named callables in alternating order; one summary each.
+
+        Every round runs each callable once, and the order reverses from one
+        round to the next, so paired sections (a reference and a fast path)
+        are timed under the same machine load and neither always runs first.
+        ``min_time_s`` bounds the measured time of all callables together.
+        """
         for _ in range(self.warmup):
-            fn()
-        times = []
+            for fn in fns.values():
+                fn()
+        times: Dict[str, List[float]] = {name: [] for name in fns}
+        results: Dict[str, object] = {}
+        order = list(fns)
+        rounds = 0
         total = 0.0
-        result = None
-        while len(times) < self.repeats or (
-            total < self.min_time_s and len(times) < self.max_repeats
+        while rounds < self.repeats or (
+            total < self.min_time_s and rounds < self.max_repeats
         ):
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-            times.append(elapsed)
-            total += elapsed
-        return Measurement(
-            best_seconds=min(times),
-            mean_seconds=total / len(times),
-            runs=len(times),
-            last_result=result,
-        )
+            for name in order:
+                start = time.perf_counter()
+                results[name] = fns[name]()
+                elapsed = time.perf_counter() - start
+                times[name].append(elapsed)
+                total += elapsed
+            order.reverse()
+            rounds += 1
+        return {
+            name: Measurement(
+                best_seconds=min(section),
+                mean_seconds=sum(section) / rounds,
+                runs=rounds,
+                last_result=results[name],
+            )
+            for name, section in times.items()
+        }
 
     def time_once(self, fn: Callable[[], object]) -> "Measurement":
         """Measure a single un-warmed call (for stateful one-shot sections).

@@ -54,15 +54,16 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
         received = rng.integers(
             0, 2, size=(num_words, code.codeword_length), dtype=np.uint8
         )
-        timings = {}
-        outputs = {}
-        for backend in ("reference", "fast"):
-            timings[backend] = context.control.measure(
-                lambda b=backend, c=code, r=received: bulk_decode_outcomes(c, r, b)
-            )
-            outputs[backend] = timings[backend].last_result
-        ref_corrected, ref_due = outputs["reference"]
-        fast_corrected, fast_due = outputs["fast"]
+        timings = context.control.measure_interleaved(
+            {
+                backend: (
+                    lambda b=backend, c=code, r=received: bulk_decode_outcomes(c, r, b)
+                )
+                for backend in ("reference", "fast")
+            }
+        )
+        ref_corrected, ref_due = timings["reference"].last_result
+        fast_corrected, fast_due = timings["fast"].last_result
         identical = bool(
             np.array_equal(ref_corrected, fast_corrected)
             and np.array_equal(ref_due, fast_due)

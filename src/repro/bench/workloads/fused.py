@@ -101,18 +101,19 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
         }
     )
     for scenario, injector, floor in _scenarios(code, params):
-        timings = {}
-        outputs = {}
-        for backend in ("reference", "fast"):
-            # A fresh simulator per measured call replays the same RNG
-            # stream, so repeated timing runs stay deterministic.
-            def simulate(b=backend):
-                simulator = EinsimSimulator(code, seed=seed, backend=b)
-                return simulator.simulate(dataword, num_words, injector)
-
-            timings[backend] = context.control.measure(simulate)
-            outputs[backend] = timings[backend].last_result
-        reference = outputs["reference"]
+        # A fresh simulator per measured call replays the same RNG stream,
+        # so repeated timing runs stay deterministic.
+        timings = context.control.measure_interleaved(
+            {
+                backend: (
+                    lambda b=backend, i=injector: EinsimSimulator(
+                        code, seed=seed, backend=b
+                    ).simulate(dataword, num_words, i)
+                )
+                for backend in ("reference", "fast")
+            }
+        )
+        reference = timings["reference"].last_result
         speedup = timings["reference"].best_seconds / max(
             timings["fast"].best_seconds, 1e-12
         )
@@ -130,7 +131,9 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
                 "detected_words": reference.detected_words,
             },
             oracles={
-                "results_identical": _results_equal(reference, outputs["fast"]),
+                "results_identical": _results_equal(
+                    reference, timings["fast"].last_result
+                ),
                 # The scenarios must actually exercise the multi-bit paths
                 # the fused classifier reimplements, not just clean words.
                 "multi_bit_exercised": reference.uncorrectable_words > 0,

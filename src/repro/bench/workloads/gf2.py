@@ -39,12 +39,12 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
     received = rng.integers(
         0, 2, size=(params["num_words"], code.codeword_length)
     ).astype(np.uint8)
-    timings = {
-        backend: context.control.measure(
-            lambda b=backend: bulk_decode(code, received, b)
-        )
-        for backend in _BACKENDS
-    }
+    timings = context.control.measure_interleaved(
+        {
+            backend: (lambda b=backend: bulk_decode(code, received, b))
+            for backend in _BACKENDS
+        }
+    )
     speedup = timings["reference"].best_seconds / max(
         timings["fast"].best_seconds, 1e-12
     )
@@ -77,14 +77,16 @@ def _run(params: Mapping, context: BenchContext) -> WorkloadResult:
         code = random_hamming_code(length, rng=np.random.default_rng(seed + length))
         # The first 60 {1,2}-CHARGED patterns at a 0.5 bit error rate.
         patterns = list(charged_patterns(length, [1, 2]))[:60]
-        timings = {
-            backend: context.control.measure(
-                lambda b=backend, c=code, p=patterns: MonteCarloCampaign(
-                    c, chunk_size=words_per_pattern, backend=b, base_seed=seed
-                ).miscorrection_profile(p, 0.5, words_per_pattern)
-            )
-            for backend in _BACKENDS
-        }
+        timings = context.control.measure_interleaved(
+            {
+                backend: (
+                    lambda b=backend, c=code, p=patterns: MonteCarloCampaign(
+                        c, chunk_size=words_per_pattern, backend=b, base_seed=seed
+                    ).miscorrection_profile(p, 0.5, words_per_pattern)
+                )
+                for backend in _BACKENDS
+            }
+        )
         result.artifacts["solver_input"].append(
             {
                 "dataword_length": length,

@@ -624,7 +624,7 @@ def _run_simulate_profile(args) -> int:
             "vendor": vendor.name,
             "num_data_bits": args.data_bits,
             "code_family": family.name,
-            "backend": args.backend,
+            "backend": chip.backend,
             "num_entries": len(result.profile.patterns),
             "output": args.output,
         }, indent=2))

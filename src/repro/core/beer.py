@@ -32,6 +32,7 @@ from repro.exceptions import CodeConstructionError, ProfileError, SolverError
 from repro.ecc.code import SystematicLinearCode
 from repro.ecc.codespace import canonical_parity_columns
 from repro.ecc.family import CodeFamily, get_family
+from repro.gf2 import int_in_span
 from repro.core.profile import MiscorrectionProfile, expected_miscorrection_profile
 
 
@@ -402,7 +403,7 @@ class _SearchState:
             remaining >>= 1
             row += 1
         target = self.assignment[constraint.target_bit]
-        return _int_in_span(target, spanning)
+        return int_in_span(target, spanning)
 
     def _record_solution(self) -> None:
         columns = tuple(self.assignment[bit] for bit in range(self.num_data_bits))
@@ -411,19 +412,3 @@ class _SearchState:
             return
         self.seen_canonical.add(canonical)
         self.solutions.append(columns)
-
-
-def _int_in_span(target: int, vectors: Sequence[int]) -> bool:
-    """Return True if ``target`` is a GF(2) combination of integer-encoded vectors."""
-    basis: List[int] = []
-    for vector in vectors:
-        value = vector
-        for pivot in basis:
-            value = min(value, value ^ pivot)
-        if value:
-            basis.append(value)
-            basis.sort(reverse=True)
-    value = target
-    for pivot in basis:
-        value = min(value, value ^ pivot)
-    return value == 0

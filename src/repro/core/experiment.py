@@ -260,120 +260,25 @@ def _run_simulation_chunk(job) -> SimulationResult:
     return simulator.simulate(np.asarray(dataword_bits, dtype=np.uint8), chunk_words, injector)
 
 
-#: Inner draw size of the fused chunk runner — must equal the default
-#: ``batch_size`` of :meth:`EinsimSimulator.simulate` so the per-chunk RNG
-#: streams are consumed in exactly the same blocks as a per-chunk run.
-_FUSED_SIM_BATCH = 65536
-
-#: Buffered word count at which the fused chunk runner classifies its
-#: accumulated mask batches (one segmented kernel call for many chunks).
-_FUSED_FLUSH_WORDS = 1 << 17
-
-
-def _run_fused_chunks(jobs) -> List[SimulationResult]:
-    """Run a fused campaign's chunks with cross-chunk batched classification.
-
-    Each chunk's packed error masks are drawn from that chunk's own RNG
-    stream — the same blocks, in the same order, as
-    ``EinsimSimulator(backend="fast")`` would draw — but classification is
-    deferred: compatible mask batches accumulate until
-    :data:`_FUSED_FLUSH_WORDS` words are buffered, then one segmented kernel
-    call classifies them all.  Classification is deterministic, so the
-    per-chunk results are bit-identical to running every chunk separately
-    (and hence to the staged reference loop).
-    """
-    from repro.gf2 import GF2Vector
-    from repro.einsim.engine import bulk_encode
-    from repro.einsim.fused import (
-        FusedStats,
-        batches_compatible,
-        concat_batches,
-        get_kernel,
-        packed_error_batch,
-    )
-
-    if not jobs:
-        return []
-    parity_columns, num_parity_bits, family, detect_only = jobs[0][:4]
-    code = _worker_code(tuple(parity_columns), num_parity_bits, family, detect_only)
-    kernel = get_kernel(code)
-    stats = [
-        FusedStats.zero(code.codeword_length, code.num_data_bits) for _ in jobs
-    ]
-    datawords: List[np.ndarray] = []
-    codeword_cache: Dict[int, np.ndarray] = {}
-    pending = []  # [(job_index, PackedErrorBatch)] awaiting one classify call
-    pending_words = 0
-
-    def flush() -> None:
-        nonlocal pending, pending_words
-        if not pending:
-            return
-        batch = concat_batches([entry for _, entry in pending])
-        segments = kernel.classify_segments(
-            batch, [entry.num_words for _, entry in pending]
-        )
-        for (job_index, _), segment in zip(pending, segments):
-            stats[job_index] = stats[job_index].merge(segment)
-        pending = []
-        pending_words = 0
-
-    for job_index, job in enumerate(jobs):
-        (_, _, _, _, dataword_bits, injector, chunk_words,
-         base_seed, dataword_value, chunk_index, _backend) = job
-        bits = np.asarray(dataword_bits, dtype=np.uint8)
-        datawords.append(bits)
-        codeword = codeword_cache.get(dataword_value)
-        if codeword is None:
-            codeword = bulk_encode(code, bits.reshape(1, -1), "fast")[0]
-            codeword_cache[dataword_value] = codeword
-        rng = np.random.default_rng([base_seed, dataword_value, chunk_index])
-        remaining = chunk_words
-        while remaining > 0:
-            draw = min(_FUSED_SIM_BATCH, remaining)
-            remaining -= draw
-            batch = packed_error_batch(injector, codeword, draw, rng)
-            if pending and not batches_compatible(pending[0][1], batch):
-                flush()
-            pending.append((job_index, batch))
-            pending_words += batch.num_words
-            if pending_words >= _FUSED_FLUSH_WORDS:
-                flush()
-    flush()
-
-    return [
-        SimulationResult(
-            dataword=GF2Vector(datawords[index]),
-            num_words=chunk_stats.num_words,
-            post_correction_error_counts=chunk_stats.post_correction_error_counts,
-            pre_correction_error_counts=chunk_stats.pre_correction_error_counts,
-            uncorrectable_words=chunk_stats.uncorrectable_words,
-            miscorrected_words=chunk_stats.miscorrected_words,
-            miscorrection_positions=chunk_stats.miscorrection_positions,
-            detected_words=chunk_stats.detected_words,
-        )
-        for index, chunk_stats in enumerate(stats)
-    ]
-
-
 class MonteCarloCampaign:
     """Chunked — and optionally multiprocessing — EINSim campaign runner.
 
     Splits a large word count into fixed-size chunks, simulates each chunk
     with its own deterministic seed (derived from ``base_seed`` and the chunk
-    index) and merges the per-chunk :class:`SimulationResult` objects.  For a
+    index) and merges the per-chunk :class:`SimulationResult` objects.  Every
+    chunk, in-process or in a worker, is one
+    :meth:`~repro.einsim.simulator.EinsimSimulator.simulate` call, so for a
     fixed ``chunk_size`` the result is bit-identical regardless of the number
     of worker processes, and identical across the ``reference`` and ``fast``
-    backends (the fast in-process runner additionally batches classification
-    across chunks — see :func:`_run_fused_chunks`).
+    backends.
 
     Parameters
     ----------
     code:
         The ECC function under simulation.
     chunk_size:
-        Number of ECC words simulated per chunk (also the batch size handed
-        to the vectorised kernels).
+        Number of ECC words simulated per chunk, each from its own RNG
+        stream.
     processes:
         ``1`` runs every chunk inline; larger values distribute the chunks
         over a :class:`~concurrent.futures.ProcessPoolExecutor`.
@@ -458,12 +363,7 @@ class MonteCarloCampaign:
             boundaries.append((start, len(jobs)))
 
         if self._processes == 1 or len(jobs) == 1:
-            if self._backend == "fast":
-                # Same per-chunk RNG streams, but masks from many chunks are
-                # classified together in segmented kernel calls.
-                chunk_results = _run_fused_chunks(jobs)
-            else:
-                chunk_results = [_run_simulation_chunk(job) for job in jobs]
+            chunk_results = [_run_simulation_chunk(job) for job in jobs]
         else:
             with ProcessPoolExecutor(max_workers=self._processes) as pool:
                 chunk_results = list(pool.map(_run_simulation_chunk, jobs))

@@ -105,8 +105,9 @@ def monte_carlo_miscorrection_profile(
     enough words per pattern the measured profile converges to the exact
     profile of :func:`expected_miscorrection_profile`.
 
-    Thin wrapper over :func:`monte_carlo_observation_counts` (one shared
-    simulation loop, identical rng draw order): the zero-threshold filter of
+    Thin wrapper over :func:`monte_carlo_observation_counts`, which runs
+    every pattern through :meth:`repro.einsim.EinsimSimulator.simulate` (the
+    library's one Monte-Carlo round loop): the zero-threshold filter of
     :meth:`MiscorrectionCounts.to_profile` reproduces the historical
     any-occurrence-at-a-DISCHARGED-bit semantics exactly.
     """
@@ -140,49 +141,30 @@ def monte_carlo_observation_counts(
     duplication) produces.  ``counts.to_profile()`` recovers the
     threshold-filtered miscorrection profile BEER consumes.
     """
-    from repro.einsim.engine import bulk_decode_outcomes, bulk_encode, resolve_backend
-    from repro.einsim.fused import PackedErrorBatch, get_kernel
+    from repro.einsim.injectors import DataRetentionInjector
+    from repro.einsim.simulator import EinsimSimulator
 
-    backend = resolve_backend(backend)
     if words_per_pattern < 1:
         raise ProfileError("at least one word per pattern is required")
     if not 0.0 <= bit_error_rate <= 1.0:
         raise ProfileError("bit error rate must lie in [0, 1]")
-    generator = rng if rng is not None else np.random.default_rng(0)
-    charged_value = 1 if cell_type is CellType.TRUE_CELL else 0
-
+    # A caller's generator is consumed in place, one pattern after another.
+    simulator = EinsimSimulator(
+        code, seed=rng if rng is not None else 0, backend=backend
+    )
+    injector = DataRetentionInjector(bit_error_rate, cell_type)
     counts = MiscorrectionCounts(code.num_data_bits)
-    kernel = get_kernel(code) if backend == "fast" else None
     data_positions = np.arange(code.num_data_bits)
-    # One pattern per draw on both backends: the RNG block (and the peak
-    # memory) is one (words_per_pattern, n) float array, and both backends
-    # consume the generator identically.
     for pattern in patterns:
-        dataword = pattern.dataword(cell_type)
-        codeword = bulk_encode(code, dataword.to_numpy().reshape(1, -1), backend)[0]
-        charged_cells = codeword == charged_value
-        failures = charged_cells & (
-            generator.random((words_per_pattern, code.codeword_length))
-            < bit_error_rate
+        result = simulator.simulate(
+            pattern.dataword(cell_type), words_per_pattern, injector
         )
-        if kernel is not None:
-            stats = kernel.classify(PackedErrorBatch.from_bool_mask(failures))
-            observed = np.repeat(data_positions, stats.post_correction_error_counts)
-            due_words = stats.detected_words
-        else:
-            stored = np.tile(codeword, (words_per_pattern, 1))
-            received = np.where(failures, stored ^ 1, stored).astype(np.uint8)
-            corrected, due = bulk_decode_outcomes(code, received, backend)
-            data_errors = (
-                corrected[:, : code.num_data_bits] != stored[:, : code.num_data_bits]
-            )
-            observed = np.nonzero(data_errors)[1]
-            due_words = int(due.sum())
+        observed = np.repeat(data_positions, result.post_correction_error_counts)
         counts.record_observations(
             pattern,
             [int(bit) for bit in observed],
             words_observed=words_per_pattern,
-            due_words=due_words,
+            due_words=result.detected_words,
         )
     return counts
 

@@ -10,13 +10,14 @@ machinery in Python:
 * :mod:`repro.einsim.engine` — batched encode/syndrome/decode kernels with
   two selectable backends (``reference`` uint8 oracle, ``fast`` uint64
   bit-packed kernels and fused whole-round pipeline);
-* :mod:`repro.einsim.fused` — the fused Monte-Carlo pipeline: packed error
-  batches, per-code classification kernels, segmented cross-pattern calls;
-* :mod:`repro.einsim.simulator` — vectorised simulation of large numbers of
-  ECC words through encode → inject → decode, with per-bit post-correction
-  statistics and miscorrection bookkeeping;
-* :mod:`repro.einsim.statistics` — bootstrap confidence intervals and summary
-  helpers used when reproducing the paper's figures.
+* :mod:`repro.einsim.fused` — the fast backend's round body: packed error
+  batches and per-code classification kernels;
+* :mod:`repro.einsim.simulator` — the one Monte-Carlo round loop (encode →
+  inject → decode or classify → accumulate), behind every profile and
+  campaign entry point;
+* :mod:`repro.einsim.statistics` — :class:`SimulationResult`, the one
+  accumulator both backends produce, plus bootstrap confidence intervals and
+  summary helpers used when reproducing the paper's figures.
 """
 
 from repro.einsim.injectors import (
@@ -39,7 +40,6 @@ from repro.einsim.engine import (
 )
 from repro.einsim.fused import (
     FusedKernel,
-    FusedStats,
     PackedErrorBatch,
     get_kernel,
     packed_error_batch,
@@ -69,7 +69,6 @@ __all__ = [
     "bulk_syndrome_values",
     "resolve_backend",
     "FusedKernel",
-    "FusedStats",
     "PackedErrorBatch",
     "get_kernel",
     "packed_error_batch",

@@ -12,10 +12,13 @@ backends implement each kernel:
   the per-word syndrome into a handful of table lookups; an order of
   magnitude faster than the reference on realistic code sizes.  Codes with
   one or two parity bits skip the fold tables for a direct AND/XOR-parity
-  reduction, which is faster at that scale.  At the simulation level the
-  fast backend also routes whole Monte-Carlo rounds through
-  :mod:`repro.einsim.fused`, which classifies packed error masks without
-  ever materializing codeword batches.
+  reduction, which is faster at that scale.
+
+The Monte-Carlo round loop itself lives in
+:meth:`repro.einsim.simulator.EinsimSimulator.simulate`: its ``reference``
+branch runs these staged kernels on tiled codeword batches, and its ``fast``
+branch classifies packed error masks with :mod:`repro.einsim.fused` without
+ever materializing codeword batches.
 
 ``"auto"`` names the fast backend and is the default of every ``backend=``
 selector.  Both backends are bit-exact: for any code, any batch and any

@@ -8,7 +8,7 @@ fused rounds never do.  It exploits two identities:
 * every stored word of a round is the *same* codeword ``c`` with
   ``H·c = 0``, so the syndrome of a received word equals the syndrome of its
   error mask — decode outcomes are a function of the mask alone;
-* all of :class:`~repro.einsim.simulator.SimulationResult` is derivable from
+* all of :class:`~repro.einsim.statistics.SimulationResult` is derivable from
   the mask and the decode action: the post-correction data-bit error at
   position ``j`` is ``mask[j] XOR (action == j)``, so per-bit counts follow
   from mask column counts plus a ±1 adjustment at each acted-on position.
@@ -24,23 +24,25 @@ protocol (:mod:`repro.einsim.injectors`), in one of three representations:
   through ``2**c``-entry lookup tables and one histogram.
 
 Injectors without the protocol fall back to the unpacked
-``error_mask`` + pack (bit-identical, just slower).  Classification is
-segment-aware so one kernel call covers many patterns or campaign chunks
-(:func:`FusedKernel.classify_segments`).
+``error_mask`` + pack (bit-identical, just slower).  :func:`FusedKernel.classify`
+turns one drawn batch into a :class:`~repro.einsim.statistics.SimulationResult`;
+the round loop that draws and merges the batches is
+:meth:`repro.einsim.simulator.EinsimSimulator.simulate`, shared with the
+staged reference round.
 
-Every path consumes the RNG stream exactly as the staged reference loop does
+Every path consumes the RNG stream exactly as the staged reference round does
 and produces bit-identical statistics (``tests/test_differential_fused.py``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError, ValidationError
+from repro.exceptions import DimensionError
 from repro.gf2.bitpack import (
     LANE_BITS,
     fold_bytes,
@@ -50,8 +52,10 @@ from repro.gf2.bitpack import (
     packed_column_counts,
     popcount_u64,
 )
+from repro.gf2 import GF2Vector
 from repro.obs import TRACER
 from repro.ecc.code import SystematicLinearCode
+from repro.einsim.statistics import SimulationResult
 
 #: Widest shared candidate list stored as subset integers; beyond this the
 #: ``2**c`` per-subset tables stop paying for themselves and injectors fall
@@ -188,55 +192,6 @@ def _scatter_sparse(
     return lanes
 
 
-def batches_compatible(first: PackedErrorBatch, second: PackedErrorBatch) -> bool:
-    """Whether two batches can be concatenated into one classify call."""
-    if first.num_bits != second.num_bits or first.kind != second.kind:
-        return False
-    if first.kind == "sparse":
-        assert first.positions is not None and second.positions is not None
-        return first.positions.shape[1] == second.positions.shape[1]
-    if first.kind == "subset":
-        assert first.candidates is not None and second.candidates is not None
-        return np.array_equal(first.candidates, second.candidates)
-    return True
-
-
-def concat_batches(batches: Sequence[PackedErrorBatch]) -> PackedErrorBatch:
-    """Concatenate compatible batches along the word axis."""
-    if not batches:
-        raise ValidationError("cannot concatenate an empty batch list")
-    head = batches[0]
-    if len(batches) == 1:
-        return head
-    for other in batches[1:]:
-        if not batches_compatible(head, other):
-            raise ValidationError(
-                "cannot concatenate incompatible packed error batches"
-            )
-    total = sum(batch.num_words for batch in batches)
-    if head.kind == "lanes":
-        return PackedErrorBatch(
-            num_words=total,
-            num_bits=head.num_bits,
-            lanes=np.vstack([batch.to_lanes() for batch in batches]),
-        )
-    if head.kind == "subset":
-        return PackedErrorBatch(
-            num_words=total,
-            num_bits=head.num_bits,
-            candidates=head.candidates,
-            subsets=np.concatenate(
-                [batch.subsets for batch in batches]  # type: ignore[misc]
-            ),
-        )
-    return PackedErrorBatch(
-        num_words=total,
-        num_bits=head.num_bits,
-        positions=np.vstack([batch.positions for batch in batches]),
-        fires=np.vstack([batch.fires for batch in batches]),
-    )
-
-
 def packed_error_batch(
     injector, codeword: np.ndarray, num_words: int, rng: np.random.Generator
 ) -> PackedErrorBatch:
@@ -253,58 +208,6 @@ def packed_error_batch(
     stored = np.tile(codeword, (num_words, 1))
     mask = np.asarray(injector.error_mask(stored, rng), dtype=bool)
     return PackedErrorBatch.from_bool_mask(mask)
-
-
-@dataclass
-class FusedStats:
-    """Classification aggregates for one segment of a packed round.
-
-    Field-for-field the payload of a
-    :class:`~repro.einsim.simulator.SimulationResult` (minus the dataword).
-    """
-
-    num_words: int
-    pre_correction_error_counts: np.ndarray
-    post_correction_error_counts: np.ndarray
-    uncorrectable_words: int
-    miscorrected_words: int
-    detected_words: int
-    miscorrection_positions: Tuple[int, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def zero(cls, num_bits: int, num_data_bits: int) -> "FusedStats":
-        """An empty accumulator for the given code dimensions."""
-        return cls(
-            num_words=0,
-            pre_correction_error_counts=np.zeros(num_bits, dtype=np.int64),
-            post_correction_error_counts=np.zeros(num_data_bits, dtype=np.int64),
-            uncorrectable_words=0,
-            miscorrected_words=0,
-            detected_words=0,
-        )
-
-    def merge(self, other: "FusedStats") -> "FusedStats":
-        """Combine two segments' aggregates."""
-        return FusedStats(
-            num_words=self.num_words + other.num_words,
-            pre_correction_error_counts=(
-                self.pre_correction_error_counts
-                + other.pre_correction_error_counts
-            ),
-            post_correction_error_counts=(
-                self.post_correction_error_counts
-                + other.post_correction_error_counts
-            ),
-            uncorrectable_words=self.uncorrectable_words + other.uncorrectable_words,
-            miscorrected_words=self.miscorrected_words + other.miscorrected_words,
-            detected_words=self.detected_words + other.detected_words,
-            miscorrection_positions=tuple(
-                sorted(
-                    set(self.miscorrection_positions)
-                    | set(other.miscorrection_positions)
-                )
-            ),
-        )
 
 
 @dataclass
@@ -352,27 +255,10 @@ class FusedKernel:
         return self._code
 
     # -- public API -------------------------------------------------------
-    def classify(self, batch: PackedErrorBatch) -> FusedStats:
-        """Classify one batch as a single segment."""
-        return self.classify_segments(batch, (batch.num_words,))[0]
-
-    def classify_segments(
-        self, batch: PackedErrorBatch, segment_words: Sequence[int]
-    ) -> List[FusedStats]:
-        """Classify a batch whose words form consecutive segments.
-
-        ``segment_words`` are per-segment word counts summing to
-        ``batch.num_words`` (e.g. one segment per profile pattern or per
-        campaign chunk); one kernel pass serves them all.
-        """
-        segment_words = [int(count) for count in segment_words]
-        if any(count < 0 for count in segment_words) or sum(
-            segment_words
-        ) != batch.num_words:
-            raise DimensionError(
-                f"segment word counts {segment_words} do not partition "
-                f"{batch.num_words} words"
-            )
+    def classify(
+        self, batch: PackedErrorBatch, dataword: GF2Vector
+    ) -> SimulationResult:
+        """Classify one batch of error masks drawn over ``dataword``'s codeword."""
         if batch.num_bits != self._n:
             raise DimensionError(
                 f"batch carries {batch.num_bits}-bit masks, code expects "
@@ -380,32 +266,30 @@ class FusedKernel:
             )
         start = time.perf_counter() if TRACER.enabled else 0.0
         if batch.kind == "subset":
-            results = self._classify_subset(batch, segment_words)
+            result = self._classify_subset(batch, dataword)
         else:
-            results = self._classify_per_word(batch, segment_words)
+            result = self._classify_per_word(batch, dataword)
         if TRACER.enabled:
             seconds = time.perf_counter() - start
-            due_words = sum(stats.detected_words for stats in results)
             TRACER.add("einsim.decode_batches")
             TRACER.add("einsim.words_decoded", batch.num_words)
-            TRACER.add("einsim.due_words", due_words)
+            TRACER.add("einsim.due_words", result.detected_words)
             TRACER.add("einsim.decode_s", seconds)
             TRACER.event(
                 "einsim.fused.classify",
                 {
                     "kind": batch.kind,
                     "words": batch.num_words,
-                    "segments": len(segment_words),
-                    "due_words": due_words,
+                    "due_words": result.detected_words,
                     "seconds": seconds,
                 },
             )
-        return results
+        return result
 
     # -- dense / sparse ---------------------------------------------------
     def _classify_per_word(
-        self, batch: PackedErrorBatch, segment_words: List[int]
-    ) -> List[FusedStats]:
+        self, batch: PackedErrorBatch, dataword: GF2Vector
+    ) -> SimulationResult:
         if batch.kind == "lanes":
             lanes = batch.lanes
             assert lanes is not None
@@ -421,10 +305,7 @@ class FusedKernel:
                 )
                 & np.uint64(1)
             ) != 0
-
-            def pre_counts(lo: int, hi: int) -> np.ndarray:
-                return packed_column_counts(mask_bytes[lo:hi], self._n)
-
+            pre = packed_column_counts(mask_bytes, self._n)
         else:
             positions, fires = batch.positions, batch.fires
             assert positions is not None and fires is not None
@@ -444,16 +325,27 @@ class FusedKernel:
                 ).any(axis=1)
             else:
                 mask_at_action = np.zeros(0, dtype=bool)
+            pre = np.bincount(positions[fires], minlength=self._n).astype(np.int64)
 
-            def pre_counts(lo: int, hi: int) -> np.ndarray:
-                fired = fires[lo:hi]
-                return np.bincount(
-                    positions[lo:hi][fired], minlength=self._n
-                ).astype(np.int64)
-
-        return self._aggregate_segments(
-            segment_words, actions, err_counts, flip_rows, acts,
-            mask_at_action, pre_counts,
+        post = pre[: self._k].copy()
+        data_sel = acts < self._k
+        plus = acts[data_sel & ~mask_at_action]
+        minus = acts[data_sel & mask_at_action]
+        if plus.size:
+            post += np.bincount(plus, minlength=self._k)
+        if minus.size:
+            post -= np.bincount(minus, minlength=self._k)
+        return SimulationResult(
+            dataword=dataword,
+            num_words=batch.num_words,
+            post_correction_error_counts=post,
+            pre_correction_error_counts=pre,
+            uncorrectable_words=int((err_counts > self._correctable).sum()),
+            miscorrected_words=int((~mask_at_action).sum()),
+            miscorrection_positions=tuple(int(p) for p in np.unique(plus)),
+            detected_words=int(
+                (actions == SystematicLinearCode.ACTION_DETECT).sum()
+            ),
         )
 
     def _dense_syndromes(
@@ -476,89 +368,32 @@ class FusedKernel:
         assert self._fold_table is not None
         return fold_bytes(self._fold_table, mask_bytes), err_counts
 
-    def _aggregate_segments(
-        self,
-        segment_words: List[int],
-        actions: np.ndarray,
-        err_counts: np.ndarray,
-        flip_rows: np.ndarray,
-        acts: np.ndarray,
-        mask_at_action: np.ndarray,
-        pre_counts,
-    ) -> List[FusedStats]:
-        results: List[FusedStats] = []
-        offset = 0
-        for count in segment_words:
-            lo, hi = offset, offset + count
-            offset = hi
-            seg_actions = actions[lo:hi]
-            lo_i, hi_i = np.searchsorted(flip_rows, (lo, hi))
-            seg_acts = acts[lo_i:hi_i]
-            seg_hit = mask_at_action[lo_i:hi_i]
-            pre = pre_counts(lo, hi)
-            post = pre[: self._k].copy()
-            data_sel = seg_acts < self._k
-            plus = seg_acts[data_sel & ~seg_hit]
-            minus = seg_acts[data_sel & seg_hit]
-            if plus.size:
-                post += np.bincount(plus, minlength=self._k)
-            if minus.size:
-                post -= np.bincount(minus, minlength=self._k)
-            results.append(
-                FusedStats(
-                    num_words=count,
-                    pre_correction_error_counts=pre,
-                    post_correction_error_counts=post,
-                    uncorrectable_words=int(
-                        (err_counts[lo:hi] > self._correctable).sum()
-                    ),
-                    miscorrected_words=int((~seg_hit).sum()),
-                    detected_words=int(
-                        (seg_actions == SystematicLinearCode.ACTION_DETECT).sum()
-                    ),
-                    miscorrection_positions=tuple(
-                        int(p) for p in np.unique(plus)
-                    ),
-                )
-            )
-        return results
-
     # -- subset histogram -------------------------------------------------
     def _classify_subset(
-        self, batch: PackedErrorBatch, segment_words: List[int]
-    ) -> List[FusedStats]:
+        self, batch: PackedErrorBatch, dataword: GF2Vector
+    ) -> SimulationResult:
         candidates, subsets = batch.candidates, batch.subsets
         assert candidates is not None and subsets is not None
         tables = self._tables_for(candidates)
-        size = 1 << candidates.size
-        results: List[FusedStats] = []
-        offset = 0
-        for count in segment_words:
-            histogram = np.bincount(subsets[offset : offset + count], minlength=size)
-            offset += count
-            pre = np.zeros(self._n, dtype=np.int64)
-            pre[candidates] = histogram @ tables.bit_matrix
-            post = pre[: self._k].copy()
-            plus_hist = histogram[tables.plus_values]
-            np.add.at(post, tables.plus_targets, plus_hist)
-            np.subtract.at(
-                post, tables.minus_targets, histogram[tables.minus_values]
-            )
-            results.append(
-                FusedStats(
-                    num_words=count,
-                    pre_correction_error_counts=pre,
-                    post_correction_error_counts=post,
-                    uncorrectable_words=int(histogram @ tables.too_many),
-                    miscorrected_words=int(histogram @ tables.miscorrect),
-                    detected_words=int(histogram @ tables.detect),
-                    miscorrection_positions=tuple(
-                        int(p)
-                        for p in np.unique(tables.plus_targets[plus_hist > 0])
-                    ),
-                )
-            )
-        return results
+        histogram = np.bincount(subsets, minlength=1 << candidates.size)
+        pre = np.zeros(self._n, dtype=np.int64)
+        pre[candidates] = histogram @ tables.bit_matrix
+        post = pre[: self._k].copy()
+        plus_hist = histogram[tables.plus_values]
+        np.add.at(post, tables.plus_targets, plus_hist)
+        np.subtract.at(post, tables.minus_targets, histogram[tables.minus_values])
+        return SimulationResult(
+            dataword=dataword,
+            num_words=batch.num_words,
+            post_correction_error_counts=post,
+            pre_correction_error_counts=pre,
+            uncorrectable_words=int(histogram @ tables.too_many),
+            miscorrected_words=int(histogram @ tables.miscorrect),
+            miscorrection_positions=tuple(
+                int(p) for p in np.unique(tables.plus_targets[plus_hist > 0])
+            ),
+            detected_words=int(histogram @ tables.detect),
+        )
 
     def _tables_for(self, candidates: np.ndarray) -> _SubsetTables:
         key = candidates.tobytes()

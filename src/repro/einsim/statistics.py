@@ -1,18 +1,93 @@
-"""Statistical helpers for simulation results.
+"""Simulation results and the statistical helpers built on them.
 
-The paper reports Figure 1 as medians with 95 % confidence intervals obtained
-by statistical bootstrapping over 1000 resamples; these helpers provide that
-machinery for the reproduction's figures.
+:class:`SimulationResult` is the one accumulator every Monte-Carlo round
+produces, on both backends.  The paper reports Figure 1 as medians with 95 %
+confidence intervals obtained by statistical bootstrapping over 1000
+resamples; the remaining helpers provide that machinery for the
+reproduction's figures.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ValidationError
+from repro.exceptions import DimensionError, ValidationError
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.gf2 import GF2Vector
+
+
+@dataclass
+class SimulationResult:
+    """Aggregate outcome of simulating many ECC words with one test pattern."""
+
+    #: The dataword that was written to every simulated word.
+    dataword: GF2Vector
+    #: Number of ECC words simulated.
+    num_words: int
+    #: Per-data-bit count of post-correction errors (length ``k``).
+    post_correction_error_counts: np.ndarray
+    #: Per-codeword-bit count of injected pre-correction errors (length ``n``).
+    pre_correction_error_counts: np.ndarray
+    #: Number of words whose injected error pattern was uncorrectable.
+    uncorrectable_words: int
+    #: Number of words in which the decoder flipped a non-erroneous bit.
+    miscorrected_words: int
+    #: Data-bit positions where a miscorrection was observed at least once.
+    miscorrection_positions: Tuple[int, ...]
+    #: Number of words the decoder flagged as detected-uncorrectable (DUE):
+    #: non-zero syndrome, nothing flipped.  Always 0 for full-length SEC
+    #: codes; the load-bearing signal for SEC-DED and detect-only families.
+    detected_words: int = 0
+
+    @classmethod
+    def empty(cls, dataword: GF2Vector, codeword_length: int) -> "SimulationResult":
+        """A zero-word result: the identity of :meth:`merge`."""
+        return cls(
+            dataword=dataword,
+            num_words=0,
+            post_correction_error_counts=np.zeros(len(dataword), dtype=np.int64),
+            pre_correction_error_counts=np.zeros(codeword_length, dtype=np.int64),
+            uncorrectable_words=0,
+            miscorrected_words=0,
+            miscorrection_positions=(),
+        )
+
+    @property
+    def post_correction_error_probabilities(self) -> np.ndarray:
+        """Per-data-bit post-correction error probability."""
+        return self.post_correction_error_counts / max(self.num_words, 1)
+
+    @property
+    def pre_correction_error_probabilities(self) -> np.ndarray:
+        """Per-codeword-bit pre-correction error probability."""
+        return self.pre_correction_error_counts / max(self.num_words, 1)
+
+    def merge(self, other: "SimulationResult") -> "SimulationResult":
+        """Combine two results for the same dataword (batches, chunks)."""
+        if self.dataword != other.dataword:
+            raise DimensionError("cannot merge results for different datawords")
+        return SimulationResult(
+            dataword=self.dataword,
+            num_words=self.num_words + other.num_words,
+            post_correction_error_counts=(
+                self.post_correction_error_counts + other.post_correction_error_counts
+            ),
+            pre_correction_error_counts=(
+                self.pre_correction_error_counts + other.pre_correction_error_counts
+            ),
+            uncorrectable_words=self.uncorrectable_words + other.uncorrectable_words,
+            miscorrected_words=self.miscorrected_words + other.miscorrected_words,
+            miscorrection_positions=tuple(
+                sorted(
+                    set(self.miscorrection_positions)
+                    | set(other.miscorrection_positions)
+                )
+            ),
+            detected_words=self.detected_words + other.detected_words,
+        )
 
 
 @dataclass(frozen=True)

@@ -7,23 +7,17 @@ solves used by BEEP's test-pattern crafting.
 
 The central type is :class:`~repro.gf2.matrix.GF2Matrix`, a thin wrapper
 around a ``numpy`` ``uint8`` array whose entries are always 0 or 1 and whose
-arithmetic is performed modulo 2.  :mod:`repro.gf2.bitpack` provides an
-equivalent bit-packed fast path (rows packed into ``uint64`` lanes with
-AND/XOR/popcount kernels) selected through the ``fast`` simulation backend;
-the uint8 implementation remains the reference oracle.
+arithmetic is performed modulo 2; :mod:`repro.gf2.linalg` holds the one
+implementation of elimination, solving and span tests.  :mod:`repro.gf2.bitpack`
+provides the bit-packed kernels (rows packed into ``uint64`` lanes with
+AND/XOR/popcount and per-byte fold tables) behind the ``fast`` simulation
+backend, which the uint8 implementation checks as the reference oracle.
 """
 
 from repro.gf2.matrix import GF2Matrix, GF2Vector
 from repro.gf2.bitpack import (
-    PackedGF2Matrix,
-    batched_syndrome_values,
     pack_rows,
     pack_vector,
-    packed_gf2_null_space,
-    packed_gf2_rank,
-    packed_gf2_rref,
-    packed_gf2_solve,
-    packed_matmul,
     popcount_u64,
     unpack_rows,
     unpack_vector,
@@ -35,6 +29,7 @@ from repro.gf2.linalg import (
     gf2_null_space,
     gf2_inverse,
     in_span,
+    int_in_span,
     span,
     row_space_equal,
     vector_from_int,
@@ -52,21 +47,15 @@ __all__ = [
     "gf2_null_space",
     "gf2_inverse",
     "in_span",
+    "int_in_span",
     "span",
     "row_space_equal",
     "vector_from_int",
     "int_from_vector",
     "popcount",
     "support",
-    "PackedGF2Matrix",
-    "batched_syndrome_values",
     "pack_rows",
     "pack_vector",
-    "packed_gf2_null_space",
-    "packed_gf2_rank",
-    "packed_gf2_rref",
-    "packed_gf2_solve",
-    "packed_matmul",
     "popcount_u64",
     "unpack_rows",
     "unpack_vector",

@@ -7,7 +7,7 @@ them) and return new objects; nothing is mutated in place.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -169,39 +169,40 @@ def span(vectors: Iterable[GF2Vector]) -> List[GF2Vector]:
     for vec in vector_list:
         if len(vec) != length:
             raise DimensionError("span requires vectors of equal length")
-    basis = _reduce_to_basis(vector_list)
     elements = {0}
-    for vec in basis:
-        value = vec.to_int()
+    for value in _xor_basis(vec.to_int() for vec in vector_list):
         elements |= {existing ^ value for existing in elements}
     return [GF2Vector.from_int(value, length) for value in sorted(elements)]
 
 
-def _reduce_to_basis(vectors: Sequence[GF2Vector]) -> List[GF2Vector]:
-    """Return an independent subset spanning the same space (integer Gaussian)."""
-    basis_ints: List[int] = []
-    for vec in vectors:
-        value = vec.to_int()
-        for pivot in basis_ints:
+def _xor_basis(values: Iterable[int]) -> List[int]:
+    """Reduce integer-encoded vectors to an XOR basis, largest pivot first."""
+    basis: List[int] = []
+    for value in values:
+        for pivot in basis:
             value = min(value, value ^ pivot)
         if value:
-            basis_ints.append(value)
-            basis_ints.sort(reverse=True)
-    length = len(vectors[0]) if vectors else 0
-    return [GF2Vector.from_int(v, length) for v in basis_ints]
+            basis.append(value)
+            basis.sort(reverse=True)
+    return basis
+
+
+def int_in_span(target: int, vectors: Iterable[int]) -> bool:
+    """Return True if ``target`` is a GF(2) combination of integer-encoded vectors.
+
+    The one span-membership test: :func:`in_span` and BEER's constraint
+    checks both reduce to it.
+    """
+    for pivot in _xor_basis(vectors):
+        target = min(target, target ^ pivot)
+    return target == 0
 
 
 def in_span(target: GF2Vector, vectors: Iterable[GF2Vector]) -> bool:
     """Return True if ``target`` lies in the GF(2) span of ``vectors``."""
     target_vec = target if isinstance(target, GF2Vector) else GF2Vector(target)
     vector_list = [v if isinstance(v, GF2Vector) else GF2Vector(v) for v in vectors]
-    if not vector_list:
-        return target_vec.is_zero()
-    basis = _reduce_to_basis(vector_list)
-    value = target_vec.to_int()
-    for pivot in (b.to_int() for b in basis):
-        value = min(value, value ^ pivot)
-    return value == 0
+    return int_in_span(target_vec.to_int(), [v.to_int() for v in vector_list])
 
 
 def row_space_equal(first: GF2Matrix, second: GF2Matrix) -> bool:

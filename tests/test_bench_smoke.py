@@ -15,7 +15,7 @@ from repro.bench import (
     workload_names,
 )
 from repro.bench.registry import BenchContext
-from repro.bench.timing import TIERS, control_for_tier
+from repro.bench.timing import TIERS, RunControl, control_for_tier
 
 EXPECTED_WORKLOADS = {
     "gf2-backends",
@@ -85,3 +85,34 @@ def test_context_exposes_tier_and_control():
     context = BenchContext(tier="full", control=control_for_tier("full"))
     assert context.is_full
     assert not BenchContext(tier="smoke", control=control_for_tier("smoke")).is_full
+
+
+def test_interleaved_measurement_alternates_the_order():
+    calls = []
+    control = RunControl(warmup=1, repeats=3)
+    timings = control.measure_interleaved(
+        {
+            "reference": lambda: calls.append("reference") or "r",
+            "fast": lambda: calls.append("fast") or "f",
+        }
+    )
+    # One warmup pass, then rounds whose order reverses each time.
+    assert calls == [
+        "reference", "fast",
+        "reference", "fast",
+        "fast", "reference",
+        "reference", "fast",
+    ]
+    assert [timings[name].runs for name in ("reference", "fast")] == [3, 3]
+    assert timings["reference"].last_result == "r"
+    assert timings["fast"].last_result == "f"
+
+
+def test_single_measurement_is_the_one_callable_case():
+    calls = []
+    control = RunControl(warmup=2, repeats=4)
+    measurement = control.measure(lambda: calls.append(len(calls)) or len(calls))
+    assert calls == list(range(6))
+    assert measurement.runs == 4
+    assert measurement.last_result == 6
+    assert measurement.best_seconds <= measurement.mean_seconds

@@ -214,6 +214,8 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["vendor"] == "B"
         assert payload["num_data_bits"] == 8
+        # The resolved backend, as ``einsim --json`` reports it.
+        assert payload["backend"] == "fast"
         assert payload["num_entries"] == 8 + 28
         assert json.loads(output.read_text())["num_data_bits"] == 8
 

@@ -7,8 +7,12 @@ staged ``reference`` oracle across all code families, all injector types and
 all three packed mask representations, at the simulator, profile and
 campaign layers.  The packed injector protocol is
 additionally checked mask-for-mask and RNG-state-for-RNG-state against the
-unpacked draw it replaces.
+unpacked draw it replaces, and golden digests pin the RNG streams themselves
+across revisions.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,12 +29,10 @@ from repro.einsim import (
     FaultModelInjector,
     FixedErrorCountInjector,
     MixedCellRetentionInjector,
-    PackedErrorBatch,
     PerBitBernoulliInjector,
     RowStripeInjector,
     UniformRandomInjector,
     bulk_syndrome_values,
-    get_kernel,
     packed_error_batch,
 )
 from repro.einsim.engine import bulk_decode_outcomes
@@ -50,6 +52,12 @@ FAMILY_CASES = [
 ]
 
 FAMILY_IDS = ["sec", "secded", "parity", "rep3", "rep2-detect"]
+
+#: sha256 digests of :class:`TestGoldenStreams`' outputs, identical on both
+#: backends.  Changing one orphans every campaign record already stored.
+GOLDEN_SIMULATOR = "2ca598ea869436734c91300e95de9503e969e7cf67cda52123f802da87301e25"
+GOLDEN_PROFILE = "fd56fee70201252ce5ab1f444b09b31d2e60cb89e29139bcf2530fa9000e6d7b"
+GOLDEN_CAMPAIGN = "80691043757cdfea15719302d17e442bd2007ecb657f120b9af6ad83a5b4d271"
 
 
 def _construct(family, args):
@@ -230,44 +238,6 @@ class TestInjectorPackedProtocol:
         assert batch.kind == "lanes"
 
 
-class TestSegmentedClassification:
-    """classify_segments over a partition equals per-segment classify."""
-
-    @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
-    def test_segment_partition_matches_whole(self, family, args):
-        code = _construct(family, args)
-        kernel = get_kernel(code)
-        rng = np.random.default_rng(7)
-        mask = rng.random((60, code.codeword_length)) < 0.08
-        batch = PackedErrorBatch.from_bool_mask(mask)
-        whole = kernel.classify(batch)
-        parts = kernel.classify_segments(batch, (13, 0, 27, 20))
-        assert [p.num_words for p in parts] == [13, 0, 27, 20]
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = merged.merge(part)
-        assert np.array_equal(
-            merged.pre_correction_error_counts, whole.pre_correction_error_counts
-        )
-        assert np.array_equal(
-            merged.post_correction_error_counts,
-            whole.post_correction_error_counts,
-        )
-        assert merged.uncorrectable_words == whole.uncorrectable_words
-        assert merged.miscorrected_words == whole.miscorrected_words
-        assert merged.detected_words == whole.detected_words
-        assert merged.miscorrection_positions == whole.miscorrection_positions
-
-    def test_bad_partition_rejected(self):
-        code = _construct("sec-hamming", (16,))
-        kernel = get_kernel(code)
-        batch = PackedErrorBatch.from_bool_mask(
-            np.zeros((4, code.codeword_length), dtype=bool)
-        )
-        with pytest.raises(Exception):
-            kernel.classify_segments(batch, (3, 3))
-
-
 class TestProfileDifferential:
     """monte_carlo_observation_counts: fused classification vs staged loop."""
 
@@ -311,24 +281,21 @@ class TestProfileDifferential:
         words_per_pattern = 50
         sizes = []
 
-        class SpyGenerator:
-            def __init__(self, seed):
-                self._rng = np.random.default_rng(seed)
-
-            def random(self, size):
+        class SpyGenerator(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
                 sizes.append(int(np.prod(size)))
-                return self._rng.random(size)
+                return super().random(size, *args, **kwargs)
 
         monte_carlo_observation_counts(
             code, patterns, 0.1, words_per_pattern,
-            rng=SpyGenerator(3), backend=backend,
+            rng=SpyGenerator(np.random.PCG64(3)), backend=backend,
         )
         assert len(sizes) == len(patterns)
         assert max(sizes) <= words_per_pattern * code.codeword_length
 
 
 class TestCampaignDifferential:
-    """Chunked campaigns: fast cross-chunk batching vs per-chunk reference."""
+    """Chunked campaigns: fast vs reference, chunk by chunk."""
 
     @pytest.mark.parametrize("family,args", FAMILY_CASES, ids=FAMILY_IDS)
     def test_chunked_campaign_bit_identical(self, family, args):
@@ -347,8 +314,8 @@ class TestCampaignDifferential:
             _assert_results_equal(expected, actual)
 
     def test_mixed_injector_flushes_between_representations(self):
-        # Consecutive chunks with incompatible packed representations force
-        # the fused runner's mid-stream flush; results must be unaffected.
+        # Chunks whose draws mix packed representations must still merge
+        # into the reference result.
         code = _construct("secded-extended-hamming", (16,))
         k = code.num_data_bits
         injector = CompositeInjector(
@@ -425,3 +392,87 @@ class TestStagedKernelRegressions:
         reference = bulk_syndrome_values(code, words, "reference")
         fast = bulk_syndrome_values(code, words, "fast")
         assert np.array_equal(reference, fast)
+
+
+def _result_digest(results):
+    """sha256 over every field of a sequence of simulation results."""
+    digest = hashlib.sha256()
+    for result in results:
+        fields = {
+            "dataword": result.dataword.to_list(),
+            "num_words": result.num_words,
+            "post": result.post_correction_error_counts.tolist(),
+            "pre": result.pre_correction_error_counts.tolist(),
+            "uncorrectable": result.uncorrectable_words,
+            "miscorrected": result.miscorrected_words,
+            "positions": list(result.miscorrection_positions),
+            "detected": result.detected_words,
+        }
+        digest.update(json.dumps(fields, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def _counts_digest(counts):
+    """sha256 over every pattern's counts, words and DUE words."""
+    digest = hashlib.sha256()
+    for pattern in counts.patterns:
+        fields = {
+            "charged": sorted(pattern.charged_bits),
+            "counts": counts.counts_for(pattern).tolist(),
+            "words": counts.words_observed(pattern),
+            "due": counts.due_words_observed(pattern),
+        }
+        digest.update(json.dumps(fields, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+class TestGoldenStreams:
+    """Pinned digests of the RNG streams campaign records depend on.
+
+    The differential tests compare the two backends within one revision, so
+    a draw-order change made on both sides would pass them while silently
+    orphaning every stored campaign record.  These digests were computed
+    before the Monte-Carlo round loops were unified and must never change.
+    """
+
+    def test_simulator_stream(self, backend):
+        results = []
+        for index, (family, args) in enumerate(FAMILY_CASES[:2]):
+            code = _construct(family, args)
+            dataword = np.arange(code.num_data_bits) % 2
+            candidates = [0, 3, 5, 8, 13]
+            for injector in (
+                DataRetentionInjector(0.05),
+                FixedErrorCountInjector(
+                    3, candidate_positions=candidates, per_bit_probability=0.5
+                ),
+                UniformRandomInjector(0.02),
+            ):
+                simulator = EinsimSimulator(code, seed=40 + index, backend=backend)
+                results.append(
+                    simulator.simulate(dataword, 1000, injector, batch_size=256)
+                )
+        assert _result_digest(results) == GOLDEN_SIMULATOR
+
+    def test_profile_stream_beyond_one_batch(self, backend):
+        code = _construct("sec-hamming", (8,))
+        patterns = list(charged_patterns(code.num_data_bits, [1]))[:3]
+        counts = monte_carlo_observation_counts(
+            code,
+            patterns,
+            0.2,
+            70_000,
+            rng=np.random.default_rng(17),
+            backend=backend,
+        )
+        assert _counts_digest(counts) == GOLDEN_PROFILE
+
+    def test_campaign_stream(self, backend):
+        code = _construct("secded-extended-hamming", (16,))
+        k = code.num_data_bits
+        datawords = [np.ones(k, np.uint8), np.arange(k) % 2]
+        results = MonteCarloCampaign(
+            code, chunk_size=700, backend=backend, base_seed=23
+        ).simulate_many(datawords, DataRetentionInjector(0.04), 1801)
+        assert _result_digest(results) == GOLDEN_CAMPAIGN

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ChipConfigurationError, DimensionError
+from repro.exceptions import ChipConfigurationError, DimensionError, ValidationError
 from repro.gf2 import GF2Vector
 from repro.ecc import SyndromeDecoder, example_7_4_code, hamming_code, random_hamming_code
 from repro.dram import CellType
@@ -325,6 +325,32 @@ class TestSimulator:
         simulator = EinsimSimulator(hamming_code(8))
         with pytest.raises(DimensionError):
             simulator.simulate([1] * 9, 10, UniformRandomInjector(0.1))
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, backend, batch_size):
+        simulator = EinsimSimulator(hamming_code(8), backend=backend)
+        with pytest.raises(ValidationError):
+            simulator.simulate(
+                [1] * 8, 10, UniformRandomInjector(0.1), batch_size=batch_size
+            )
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_negative_word_count_rejected(self, backend):
+        simulator = EinsimSimulator(hamming_code(8), backend=backend)
+        with pytest.raises(ValidationError):
+            simulator.simulate([1] * 8, -5, UniformRandomInjector(0.1))
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_zero_words_give_an_empty_result(self, backend):
+        code = hamming_code(8)
+        result = EinsimSimulator(code, backend=backend).simulate(
+            [1] * 8, 0, UniformRandomInjector(0.1)
+        )
+        assert result.num_words == 0
+        assert result.post_correction_error_counts.tolist() == [0] * 8
+        assert result.pre_correction_error_counts.tolist() == [0] * 12
+        assert result.miscorrection_positions == ()
 
     def test_per_bit_error_probability_wrapper(self):
         simulator = EinsimSimulator(hamming_code(8), seed=7)

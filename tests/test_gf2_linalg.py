@@ -16,6 +16,7 @@ from repro.gf2 import (
     gf2_solve,
     in_span,
     int_from_vector,
+    int_in_span,
     popcount,
     row_space_equal,
     span,
@@ -239,3 +240,14 @@ class TestProperties:
                 target_value in enumerated if vectors else target.is_zero()
             )
             assert in_span(target, vectors) == expected
+
+    @given(
+        st.lists(st.integers(0, 255), min_size=0, max_size=6),
+        st.integers(0, 255),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int_in_span_agrees_with_subset_xors(self, values, target):
+        reachable = {0}
+        for value in values:
+            reachable |= {existing ^ value for existing in reachable}
+        assert int_in_span(target, values) == (target in reachable)

@@ -1,8 +1,8 @@
 """Randomised property tests for the GF(2) linear-algebra invariants.
 
 Each property is checked over ~100 seeded random matrices spanning tall,
-wide, square, sparse and dense shapes — on both the reference and the
-bit-packed implementations.
+wide, square, sparse and dense shapes on the one GF(2) linear-algebra
+implementation, :mod:`repro.gf2.linalg`.
 """
 
 import numpy as np
@@ -16,10 +16,6 @@ from repro.gf2 import (
     gf2_rank,
     gf2_rref,
     gf2_solve,
-    packed_gf2_null_space,
-    packed_gf2_rank,
-    packed_gf2_rref,
-    packed_gf2_solve,
 )
 
 #: 100 seeded random instances: (seed, rows, cols, density).
@@ -42,7 +38,6 @@ CASES = [
 
 IMPLEMENTATIONS = {
     "reference": (gf2_rref, gf2_rank, gf2_null_space, gf2_solve),
-    "packed": (packed_gf2_rref, packed_gf2_rank, packed_gf2_null_space, packed_gf2_solve),
 }
 
 
