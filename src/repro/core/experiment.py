@@ -105,34 +105,67 @@ class BeerExperiment:
     def measure_counts(
         self, cell_types: Optional[Dict[int, CellType]] = None
     ) -> MiscorrectionCounts:
-        """Steps 1-2: run the pattern/refresh sweep and collect error counts."""
+        """Steps 1-2: run the pattern/refresh sweep and collect error counts.
+
+        Each round assigns the test patterns round-robin to the true-cell
+        words, rotated by one pattern per round so each pattern samples fresh
+        cells; writes every word in one call, pauses refresh for the window,
+        reads every word back in one call, and tallies the post-correction
+        errors per (pattern, data bit) in one pass.  Patterns are recorded in
+        the order they were first written.
+        """
         num_data_bits = self._chip.num_data_bits
         patterns = list(charged_patterns(num_data_bits, list(self._config.pattern_weights)))
-        counts = MiscorrectionCounts(num_data_bits)
-        word_cell_types = self._cell_type_per_word(cell_types)
+        if not patterns:
+            raise ChipConfigurationError("the BEER campaign needs at least one test pattern")
         # Like the paper's analysis, the campaign profiles the true-cell
         # regions; anti-cell rows would need the mirrored charge translation
         # inside the solver and are simply skipped here.
-        eligible_words = [
-            word_index
-            for word_index in range(self._chip.num_words)
-            if word_cell_types[word_index] is CellType.TRUE_CELL
+        word_rows = np.arange(self._chip.num_words) // self._chip.geometry.words_per_row
+        skipped_rows = [
+            row
+            for row, cell_type in (cell_types or {}).items()
+            if cell_type is not CellType.TRUE_CELL
         ]
-        if not eligible_words:
+        eligible_words = np.flatnonzero(~np.isin(word_rows, skipped_rows))
+        if not eligible_words.size:
             raise ChipConfigurationError(
                 "no true-cell words available for the BEER campaign"
             )
 
-        assignment_offset = 0
+        num_patterns = len(patterns)
+        datawords = np.array(
+            [pattern.dataword(CellType.TRUE_CELL).to_numpy() for pattern in patterns],
+            dtype=np.uint8,
+        )
+        positions = np.arange(eligible_words.size)
+        bit_errors = np.zeros(num_patterns * num_data_bits, dtype=np.int64)
+        words_per_pattern = np.zeros(num_patterns, dtype=np.int64)
+        offset = 0
         for window in self._config.refresh_windows_s:
             for _ in range(self._config.rounds_per_window):
-                assignment = self._assign_patterns_to_words(
-                    patterns, eligible_words, assignment_offset
-                )
-                assignment_offset += 1
-                self._write_assignment(assignment, word_cell_types)
+                which = (positions + offset) % num_patterns
+                offset += 1
+                expected = datawords[which]
+                self._chip.write_datawords(eligible_words, expected)
                 self._chip.pause_refresh(window, self._config.temperature_c)
-                self._collect_observations(assignment, word_cell_types, counts)
+                observed = self._chip.read_datawords(eligible_words)
+                error_words, error_bits = np.nonzero(observed != expected)
+                bit_errors += np.bincount(
+                    which[error_words] * num_data_bits + error_bits,
+                    minlength=bit_errors.size,
+                )
+                words_per_pattern += np.bincount(which, minlength=num_patterns)
+
+        counts = MiscorrectionCounts(num_data_bits)
+        per_bit = bit_errors.reshape(num_patterns, num_data_bits)
+        # The rotation starts at offset 0 and advances one pattern per round,
+        # so patterns are first written in list order: recording the written
+        # ones in that order keeps ``counts.patterns`` in first-write order.
+        for index in np.flatnonzero(words_per_pattern):
+            counts.record_counts(
+                patterns[index], per_bit[index], int(words_per_pattern[index])
+            )
         return counts
 
     def run(self, solve: bool = True, max_solutions: Optional[int] = None) -> ExperimentResult:
@@ -154,69 +187,6 @@ class BeerExperiment:
         return ExperimentResult(
             counts=counts, profile=profile, solution=solution, cell_types=cell_types
         )
-
-    # -- helpers --------------------------------------------------------------------
-    def _cell_type_per_word(
-        self, cell_types: Optional[Dict[int, CellType]]
-    ) -> List[CellType]:
-        per_word = []
-        for word_index in range(self._chip.num_words):
-            row = self._chip.row_of_word(word_index)
-            if cell_types is not None and row in cell_types:
-                per_word.append(cell_types[row])
-            else:
-                per_word.append(CellType.TRUE_CELL)
-        return per_word
-
-    @staticmethod
-    def _assign_patterns_to_words(
-        patterns: Sequence[ChargedPattern],
-        eligible_words: Sequence[int],
-        offset: int,
-    ) -> Dict[int, ChargedPattern]:
-        """Round-robin pattern assignment, rotated by ``offset`` between rounds."""
-        assignment = {}
-        num_patterns = len(patterns)
-        for position, word_index in enumerate(eligible_words):
-            assignment[word_index] = patterns[(position + offset) % num_patterns]
-        return assignment
-
-    def _write_assignment(
-        self,
-        assignment: Dict[int, ChargedPattern],
-        word_cell_types: Sequence[CellType],
-    ) -> None:
-        indices = sorted(assignment)
-        datawords = np.vstack(
-            [
-                assignment[word_index].dataword(word_cell_types[word_index]).to_numpy()
-                for word_index in indices
-            ]
-        )
-        self._chip.write_datawords(indices, datawords)
-
-    def _collect_observations(
-        self,
-        assignment: Dict[int, ChargedPattern],
-        word_cell_types: Sequence[CellType],
-        counts: MiscorrectionCounts,
-    ) -> None:
-        indices = sorted(assignment)
-        observed = self._chip.read_datawords(indices)
-        words_per_pattern: Dict[ChargedPattern, int] = {}
-        errors_per_pattern: Dict[ChargedPattern, List[int]] = {}
-        for row_index, word_index in enumerate(indices):
-            pattern = assignment[word_index]
-            expected = pattern.dataword(word_cell_types[word_index]).to_numpy()
-            error_positions = np.flatnonzero(observed[row_index] != expected)
-            words_per_pattern[pattern] = words_per_pattern.get(pattern, 0) + 1
-            errors_per_pattern.setdefault(pattern, []).extend(
-                int(p) for p in error_positions
-            )
-        for pattern, words_observed in words_per_pattern.items():
-            counts.record_observations(
-                pattern, errors_per_pattern.get(pattern, []), words_observed
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,10 @@ def _row_error_counts(
     chip.fill(dataword)
     chip.pause_refresh(refresh_pause_s, temperature_c)
     observed = chip.read_all_datawords()
-    expected = np.tile(dataword.to_numpy(), (chip.num_words, 1))
-    per_word_errors = (observed != expected).sum(axis=1)
-    counts = np.zeros(chip.geometry.num_rows, dtype=np.int64)
-    for word_index, errors in enumerate(per_word_errors):
-        counts[chip.row_of_word(word_index)] += int(errors)
-    return counts
+    error_words, _ = np.nonzero(observed != dataword.to_numpy())
+    return np.bincount(
+        error_words // chip.geometry.words_per_row, minlength=chip.geometry.num_rows
+    )
 
 
 def discover_dataword_layout(

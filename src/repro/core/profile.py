@@ -154,15 +154,13 @@ def monte_carlo_observation_counts(
     )
     injector = DataRetentionInjector(bit_error_rate, cell_type)
     counts = MiscorrectionCounts(code.num_data_bits)
-    data_positions = np.arange(code.num_data_bits)
     for pattern in patterns:
         result = simulator.simulate(
             pattern.dataword(cell_type), words_per_pattern, injector
         )
-        observed = np.repeat(data_positions, result.post_correction_error_counts)
-        counts.record_observations(
+        counts.record_counts(
             pattern,
-            [int(bit) for bit in observed],
+            result.post_correction_error_counts,
             words_observed=words_per_pattern,
             due_words=result.detected_words,
         )
@@ -336,10 +334,34 @@ class MiscorrectionCounts:
     ) -> None:
         """Record post-correction error positions seen over ``words_observed`` words.
 
-        ``due_words`` counts how many of those words the decoder flagged as
-        detected-uncorrectable (non-zero syndrome, nothing corrected) —
-        recorded alongside miscorrections so detection-aware families keep
-        their primary signal.
+        Each entry of ``error_positions`` is one error at that data bit; the
+        positions are tallied per bit and recorded by :meth:`record_counts`.
+        """
+        positions = np.asarray(list(error_positions), dtype=np.int64)
+        out_of_range = positions[(positions < 0) | (positions >= self._num_data_bits)]
+        if out_of_range.size:
+            raise ProfileError(f"error position {int(out_of_range[0])} out of range")
+        self.record_counts(
+            pattern,
+            np.bincount(positions, minlength=self._num_data_bits),
+            words_observed,
+            due_words,
+        )
+
+    def record_counts(
+        self,
+        pattern: ChargedPattern,
+        per_bit_counts: np.ndarray,
+        words_observed: int,
+        due_words: int = 0,
+    ) -> None:
+        """Record per-bit post-correction error counts seen over ``words_observed`` words.
+
+        ``per_bit_counts[i]`` is the number of errors observed at data bit
+        ``i``.  ``due_words`` counts how many of those words the decoder
+        flagged as detected-uncorrectable (non-zero syndrome, nothing
+        corrected) — recorded alongside miscorrections so detection-aware
+        families keep their primary signal.
         """
         if pattern.num_data_bits != self._num_data_bits:
             raise ProfileError("pattern dataword length does not match the counts")
@@ -350,23 +372,28 @@ class MiscorrectionCounts:
                 f"due_words={due_words} must lie in [0, words_observed="
                 f"{words_observed}]"
             )
-        positions = list(error_positions)
+        per_bit = np.asarray(per_bit_counts)
+        if per_bit.shape != (self._num_data_bits,) or not np.issubdtype(
+            per_bit.dtype, np.integer
+        ):
+            raise ProfileError(
+                f"per-bit counts must be {self._num_data_bits} integers, got "
+                f"shape {per_bit.shape} of {per_bit.dtype}"
+            )
+        if (per_bit < 0).any():
+            raise ProfileError("per-bit error counts cannot be negative")
         if words_observed == 0:
-            if positions:
+            if per_bit.any():
                 raise ProfileError(
-                    f"{len(positions)} error position(s) supplied with zero "
-                    "words observed; errors cannot come from words that were "
-                    "never read"
+                    f"{int(per_bit.sum())} error(s) supplied with zero words "
+                    "observed; errors cannot come from words that were never read"
                 )
             # Nothing observed: do not register the pattern at all, so that
             # ``patterns`` (and hence ``to_profile``) only ever sees patterns
             # with defined probabilities.
             return
         counts = self._counts.setdefault(pattern, np.zeros(self._num_data_bits, dtype=np.int64))
-        for position in positions:
-            if not 0 <= position < self._num_data_bits:
-                raise ProfileError(f"error position {position} out of range")
-            counts[position] += 1
+        counts += per_bit.astype(np.int64)
         self._words_observed[pattern] = self._words_observed.get(pattern, 0) + words_observed
         self._due_words[pattern] = self._due_words.get(pattern, 0) + int(due_words)
 
@@ -422,16 +449,11 @@ class MiscorrectionCounts:
         merged = MiscorrectionCounts(self._num_data_bits)
         for source in (self, other):
             for pattern in source.patterns:
-                merged._counts.setdefault(
-                    pattern, np.zeros(self._num_data_bits, dtype=np.int64)
-                )
-                merged._counts[pattern] += source._counts[pattern]
-                merged._words_observed[pattern] = (
-                    merged._words_observed.get(pattern, 0) + source._words_observed[pattern]
-                )
-                merged._due_words[pattern] = (
-                    merged._due_words.get(pattern, 0)
-                    + source._due_words.get(pattern, 0)
+                merged.record_counts(
+                    pattern,
+                    source._counts[pattern],
+                    source._words_observed[pattern],
+                    source._due_words.get(pattern, 0),
                 )
         return merged
 

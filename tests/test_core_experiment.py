@@ -1,5 +1,8 @@
 """End-to-end tests for the BEER experimental campaign on simulated chips."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,101 @@ class TestCampaignMechanics:
         cell_types = {row: CellType.ANTI_CELL for row in range(chip.geometry.num_rows)}
         with pytest.raises(ChipConfigurationError):
             experiment.measure_counts(cell_types)
+
+    def test_empty_pattern_set_rejected(self):
+        config = ExperimentConfig(pattern_weights=(), discover_cell_encoding=False)
+        with pytest.raises(ChipConfigurationError, match="test pattern"):
+            BeerExperiment(make_chip(seed=3), config).measure_counts()
+
+
+def _campaign_digest(counts, profile):
+    """sha256 over a campaign's counts (in ``patterns`` order) and its profile."""
+    payload = {
+        "counts": [
+            {
+                "charged_bits": sorted(pattern.charged_bits),
+                "counts": [int(c) for c in counts.counts_for(pattern)],
+                "words_observed": counts.words_observed(pattern),
+                "due_words": counts.due_words_observed(pattern),
+            }
+            for pattern in counts.patterns
+        ],
+        "profile": profile.to_dict(),
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _golden_chip(name):
+    if name == "vendor-A":
+        return make_chip(seed=20, vendor=VENDOR_A), False
+    if name == "vendor-B":
+        return make_chip(seed=21, vendor=VENDOR_B), False
+    if name == "vendor-C-mixed":
+        return make_chip(seed=22, vendor=VENDOR_C), True
+    if name == "transient-faults":
+        return make_chip(
+            seed=23, transient_faults=TransientFaultModel(probability_per_bit=2e-4)
+        ), False
+    assert name == "k16-fewer-words-than-patterns"
+    # k=16 on 96 words: fewer words than the 136 {1,2}-CHARGED patterns, so
+    # the round-to-round rotation decides which patterns each round covers.
+    code = random_hamming_code(16, rng=np.random.default_rng(24))
+    chip = SimulatedDramChip(
+        code, ChipGeometry(num_rows=12, words_per_row=8),
+        retention_model=FAST_RETENTION, seed=24,
+    )
+    return chip, False
+
+
+class TestCampaignGoldenDigest:
+    """``measure_counts`` output is pinned bit for bit.
+
+    The digests were computed with the per-word campaign loop the vectorised
+    round replaced; they cover counts, their pattern order, and the profile.
+    """
+
+    GOLDEN = {
+        "vendor-A": (
+            "53bfe9feaf1e1c24e9909bf3a86109b3"
+            "04aa439f3575ae9ce619db78a809d504"
+        ),
+        "vendor-B": (
+            "e84acd5ae7d1701a84496e410a2354c3"
+            "5c7849c8b99b6f3df8ab08f916024816"
+        ),
+        "vendor-C-mixed": (
+            "5e44779af10ba10cb4f5cca80ace574a"
+            "9859a60126437f66f0e5ba2140ec6e56"
+        ),
+        "transient-faults": (
+            "7b1342edf524d26ac9f9aa5fe864dbf7"
+            "046898b6055dd33c1607557e66d792a8"
+        ),
+        "k16-fewer-words-than-patterns": (
+            "5dc996bd0f484a5bd9529bfd31cd39dc"
+            "9a4b96007ae491ed4caa12a03243bcc8"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_counts_and_profile_digest(self, name):
+        chip, discover = _golden_chip(name)
+        config = ExperimentConfig(
+            pattern_weights=(1, 2),
+            refresh_windows_s=(20.0, 40.0, 60.0),
+            rounds_per_window=4,
+            threshold=0.0,
+            discover_cell_encoding=discover,
+            discovery_pause_s=60.0,
+        )
+        experiment = BeerExperiment(chip, config)
+        cell_types = experiment.discover_cell_types() if discover else None
+        if discover:
+            # Vendor C mixes true- and anti-cell rows; anti rows are skipped.
+            assert CellType.ANTI_CELL in cell_types.values()
+        counts = experiment.measure_counts(cell_types)
+        assert _campaign_digest(counts, counts.to_profile()) == self.GOLDEN[name]
 
 
 class TestEndToEndRecovery:

@@ -12,7 +12,8 @@ from repro.dram.layout import ByteInterleavedWordLayout, SequentialWordLayout
 from repro.dram.retention import RetentionCalibration
 from repro.ecc import hamming_code
 from repro.core import discover_cell_types, discover_dataword_layout
-from repro.core.layout_re import estimate_dataword_bits
+from repro.core.layout_re import _row_error_counts, estimate_dataword_bits
+from repro.gf2 import GF2Vector
 
 
 #: Retention model with very frequent failures so small chips expose layout
@@ -66,6 +67,27 @@ class TestDiscoverCellTypes:
         classification = discover_cell_types(chip, refresh_pause_s=90.0)
         assert CellType.TRUE_CELL in classification.values()
         assert CellType.ANTI_CELL in classification.values()
+
+    def test_row_error_counts_sum_each_rows_words(self):
+        # Two chips with the same seed see the same decay; one is tallied by
+        # the library, the other word by word through ``row_of_word``.
+        def make():
+            return VENDOR_C.make_chip(
+                num_data_bits=16, geometry=ChipGeometry(16, 4), seed=8,
+                retention_model=AGGRESSIVE,
+            )
+
+        ones = GF2Vector.ones(16)
+        counts = _row_error_counts(make(), ones, 90.0, 80.0)
+        chip = make()
+        chip.fill(ones)
+        chip.pause_refresh(90.0, 80.0)
+        per_word = (chip.read_all_datawords() != ones.to_numpy()).sum(axis=1)
+        expected = [0] * chip.geometry.num_rows
+        for word_index, errors in enumerate(per_word):
+            expected[chip.row_of_word(word_index)] += int(errors)
+        assert counts.tolist() == expected
+        assert sum(expected) > 0
 
 
 class TestDiscoverDatawordLayout:

@@ -1,5 +1,6 @@
 """Unit tests for miscorrection profiles, counts, and threshold filtering."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ProfileError
@@ -236,6 +237,77 @@ class TestMiscorrectionCounts:
     def test_merge_length_mismatch(self):
         with pytest.raises(ProfileError):
             MiscorrectionCounts(4).merge(MiscorrectionCounts(5))
+
+
+class TestRecordCounts:
+    """``record_counts``: the count-vector form of ``record_observations``."""
+
+    def test_records_counts_words_and_dues(self):
+        counts = MiscorrectionCounts(4)
+        pattern = ChargedPattern(4, [0])
+        counts.record_counts(pattern, np.array([0, 2, 1, 0], dtype=np.uint64), 10, due_words=3)
+        counts.record_counts(pattern, [1, 0, 0, 0], 5)
+        assert counts.counts_for(pattern).tolist() == [1, 2, 1, 0]
+        assert counts.words_observed(pattern) == 15
+        assert counts.due_words_observed(pattern) == 3
+
+    @pytest.mark.parametrize(
+        "per_bit",
+        [[0, 1, 0], [0, 1, 0, 0, 0], [[0, 1, 0, 0]], np.array([0.0, 1.0, 0.0, 0.0])],
+    )
+    def test_wrong_shape_or_dtype_rejected(self, per_bit):
+        with pytest.raises(ProfileError, match="per-bit counts"):
+            MiscorrectionCounts(4).record_counts(ChargedPattern(4, [0]), per_bit, 1)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ProfileError, match="negative"):
+            MiscorrectionCounts(4).record_counts(ChargedPattern(4, [0]), [0, -1, 0, 0], 1)
+
+    def test_counts_with_zero_words_rejected(self):
+        with pytest.raises(ProfileError, match="zero words"):
+            MiscorrectionCounts(4).record_counts(ChargedPattern(4, [0]), [0, 1, 0, 0], 0)
+
+    def test_other_checks_match_record_observations(self):
+        counts = MiscorrectionCounts(4)
+        with pytest.raises(ProfileError):
+            counts.record_counts(ChargedPattern(5, [0]), [0] * 5, 1)
+        with pytest.raises(ProfileError):
+            counts.record_counts(ChargedPattern(4, [0]), [0] * 4, -1)
+        with pytest.raises(ProfileError, match="due_words"):
+            counts.record_counts(ChargedPattern(4, [0]), [0] * 4, 2, due_words=3)
+        assert counts.patterns == []
+
+    def test_zero_words_registers_no_pattern(self):
+        counts = MiscorrectionCounts(4)
+        counts.record_counts(ChargedPattern(4, [0]), np.zeros(4, dtype=np.int64), 0)
+        assert counts.patterns == []
+        assert counts.to_profile().patterns == []
+
+    def test_agrees_with_record_observations(self):
+        rng = np.random.default_rng(0)
+        patterns = [ChargedPattern(6, [bit]) for bit in range(6)]
+        by_positions = MiscorrectionCounts(6)
+        by_counts = MiscorrectionCounts(6)
+        for _ in range(40):
+            pattern = patterns[int(rng.integers(len(patterns)))]
+            words = int(rng.integers(0, 5))
+            positions = rng.integers(0, 6, size=int(rng.integers(0, 12))) if words else []
+            dues = int(rng.integers(0, words + 1))
+            by_positions.record_observations(pattern, positions, words, due_words=dues)
+            by_counts.record_counts(
+                pattern, np.bincount(np.asarray(positions, dtype=np.int64), minlength=6),
+                words, due_words=dues,
+            )
+        assert by_counts.patterns == by_positions.patterns
+        for pattern in by_positions.patterns:
+            assert by_counts.counts_for(pattern).tolist() == (
+                by_positions.counts_for(pattern).tolist()
+            )
+            assert by_counts.words_observed(pattern) == by_positions.words_observed(pattern)
+            assert by_counts.due_words_observed(pattern) == (
+                by_positions.due_words_observed(pattern)
+            )
+        assert by_counts.to_profile() == by_positions.to_profile()
 
 
 class TestExpectedProfileConsistency:
